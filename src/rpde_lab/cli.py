@@ -173,10 +173,14 @@ def sample_lift(cfg: ExperimentConfig, seed: int, span: float, t_start: float,
 
 
 def _parallel_map(fn, items, jobs: int):
-    """Ordered map; results keyed by submission order for determinism."""
-    if jobs <= 1 or len(items) <= 1:
+    """Ordered map; results keyed by submission order for determinism.
+
+    Starts at most one worker per item and per CPU, whatever jobs asks for.
+    """
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

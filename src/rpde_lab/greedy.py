@@ -6,19 +6,34 @@ is the supremum over partitions s = k_0 < ... < k_n = t of
     sum_j (k_{j+1}-k_j)^(-eta/(gamma-eta)) *
           ( |X[k_j,k_{j+1}]|^(1/(gamma-eta)) + |XX[k_j,k_{j+1}]|^(1/(2(gamma-eta))) ).
 
-Restricted to grid partitions this supremum is computed exactly by an O(n^2)
-dynamic program. Greedy times chop an interval into maximal steps whose
-control, raised to gamma - eta, stays below the threshold chi; N counts the
-steps. W is superadditive, so it is monotone in the right endpoint, which the
-greedy scan exploits for early exit.
+Restricted to grid partitions this supremum is computed exactly by a dynamic
+program over the grid points of the window, dp[k] = max_{i<k} dp[i] + cost[i, k]
+with cost the one-segment term above. One kernel, _control_dp, serves W, the
+greedy scan and the all-pairs matrix. It builds the costs of _BLOCK columns at
+a time, from second-level prefix sums accumulated from the window start, and
+advances dp column by column: O(n^2) time for W over n cells, O(n * _BLOCK)
+memory, and no n x n matrix at any point.
+
+Greedy times chop an interval into maximal steps whose control, raised to
+gamma - eta, stays below the threshold chi; N counts the steps. W is
+superadditive, so it is monotone in the right endpoint: each greedy step scans
+from its start and stops at the first column past the threshold, so the whole
+scan costs O(n * (longest step + _BLOCK)) time.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
-from .roughpath import GridRoughPath, _second_level_matrix, _window_arrays
+from .roughpath import GridRoughPath, _second_level_block
+
+# columns of one-segment costs built per block of the DP scan; the 32-cell
+# unit windows of the absorbing-radius pipeline fit in one block
+_BLOCK = 64
 
 
 class GreedyPartition:
@@ -41,23 +56,62 @@ def _check_eta(rp: GridRoughPath, eta: float) -> None:
         raise ValueError(f"eta must lie in [0, gamma={rp.gamma}), got {eta}")
 
 
-def _window_costs(rp: GridRoughPath, eta: float, interval=None):
-    """cost[i, j] = one-segment control term of the window pair (i, j), j > i."""
-    raw, xx, _, _ = _window_arrays(rp, interval)
-    m = raw.size - 1
-    if m == 0:
-        return None
-    g = rp.gamma - eta
+def _cost_block(raw: np.ndarray, xx: np.ndarray, k0: int, dt: float, eta: float,
+                g: float) -> np.ndarray:
+    """cost[i, k] = one-segment control term of the window pair (i, k0 + k).
+
+    Rows run over the whole window raw[0], ..., raw[-1]; columns over its grid
+    points from k0 on. Only entries with i < k0 + k are meaningful. The lag
+    weight depends on k0 + k - i alone, so it is evaluated once per lag and
+    read through a Toeplitz view.
+    """
+    rows = raw.size
     p1 = 1.0 / g
     p2 = 0.5 / g
     wexp = -eta / g
-    mat2 = np.abs(_second_level_matrix(raw, xx))
-    inc = np.abs(raw[None, :] - raw[:, None])
-    lag = (np.arange(m + 1)[None, :] - np.arange(m + 1)[:, None]).astype(float) * rp.dt
+    lag = np.arange(k0 - rows + 1, rows).astype(float) * dt
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.where(lag > 0, lag ** wexp, 0.0) if eta > 0 else np.where(lag > 0, 1.0, 0.0)
-    cost = weight * (inc ** p1 + mat2 ** p2)
+    weight = sliding_window_view(weight, rows - k0)[::-1]
+    cost = np.abs(raw[None, k0:] - raw[:, None]) ** p1
+    cost += np.abs(_second_level_block(raw, xx, k0)) ** p2
+    cost *= weight
     return cost
+
+
+def _control_dp(rp: GridRoughPath, eta: float, i0: int, i1: int, limit: float):
+    """W over [t_i0, t_i0+k] for k = 0, 1, ... by dynamic programming.
+
+    dp[k] = max_{i<k} dp[i] + cost[i, k], with the costs built _BLOCK columns
+    at a time, so memory is O((i1 - i0) * _BLOCK). Within a block, the paths
+    whose last cut lies before the block are maximized in one pass; each new
+    column then raises the later columns of the block. A maximum does not
+    round, so dp equals the column-by-column recursion bit for bit. The scan
+    stops at the first column k whose dp[k] ** (gamma - eta) exceeds limit
+    (limit = inf scans the whole window). Returns (dp, last): last is the
+    last column within the limit, and dp is filled up to min(last + 1, i1 - i0).
+    """
+    raw = rp.x_raw[i0:i1 + 1]
+    xx = rp.xx[i0:i1]
+    m = i1 - i0
+    g = rp.gamma - eta
+    check = limit < math.inf
+    dp = np.empty(m + 1)
+    dp[0] = 0.0
+    k0 = 1
+    while k0 <= m:
+        k1 = min(k0 + _BLOCK, m + 1)
+        cost = _cost_block(raw[:k1], xx[:k1 - 1], k0, rp.dt, eta, g)
+        cost[:k0] += dp[:k0, None]
+        best = cost[:k0].max(axis=0)
+        for k in range(k0, k1):
+            c = k - k0
+            dp[k] = best[c]
+            if check and not dp[k] ** g <= limit:
+                return dp, k - 1
+            np.maximum(best[c + 1:], dp[k] + cost[k, c + 1:], out=best[c + 1:])
+        k0 = k1
+    return dp, m
 
 
 def control_w(rp: GridRoughPath, eta: float, s: float, t: float) -> float:
@@ -68,12 +122,7 @@ def control_w(rp: GridRoughPath, eta: float, s: float, t: float) -> float:
         raise ValueError("need s <= t")
     if j == i:
         return 0.0
-    cost = _window_costs(rp, eta, (s, t))
-    m = cost.shape[0] - 1
-    dp = np.empty(m + 1)
-    dp[0] = 0.0
-    for k in range(1, m + 1):
-        dp[k] = np.max(dp[:k] + cost[:k, k])
+    dp, m = _control_dp(rp, eta, i, j, math.inf)
     return float(dp[m])
 
 
@@ -83,17 +132,7 @@ def _greedy_scan(rp: GridRoughPath, eta: float, chi: float, i0: int, i1: int):
     cuts = [i0]
     cur = i0
     while cur < i1:
-        cost = _window_costs(rp, eta, (rp.t0 + cur * rp.dt, rp.t0 + i1 * rp.dt))
-        m = cost.shape[0] - 1
-        dp = np.empty(m + 1)
-        dp[0] = 0.0
-        last_ok = 0
-        for k in range(1, m + 1):
-            dp[k] = np.max(dp[:k] + cost[:k, k])
-            if dp[k] ** g <= chi:
-                last_ok = k
-            else:
-                break
+        dp, last_ok = _control_dp(rp, eta, cur, i1, chi)
         if last_ok == 0:
             t_bad = rp.t0 + cur * rp.dt
             raise NumericsError(
@@ -128,17 +167,15 @@ def count_in_window(rp: GridRoughPath, eta: float, chi: float, s: float, t: floa
 
 
 def control_w_all_pairs(rp: GridRoughPath, eta: float, interval=None) -> np.ndarray:
-    """Matrix of W over all grid pairs of the window; used by property tests."""
+    """Matrix of W over all grid pairs of the window; used by property tests.
+
+    Row i is one DP scan from grid point i, so entry (i, j) equals control_w
+    over the same pair exactly.
+    """
     _check_eta(rp, eta)
-    cost = _window_costs(rp, eta, interval)
-    if cost is None:
-        return np.zeros((1, 1))
-    m = cost.shape[0] - 1
+    i0, i1 = rp.interval_slice(interval)
+    m = i1 - i0
     out = np.zeros((m + 1, m + 1))
     for i in range(m):
-        dp = np.empty(m + 1 - i)
-        dp[0] = 0.0
-        for k in range(1, m + 1 - i):
-            dp[k] = np.max(dp[:k] + cost[i:i + k, i + k])
-        out[i, i:] = dp
+        out[i, i:] = _control_dp(rp, eta, i0 + i, i1, math.inf)[0]
     return out

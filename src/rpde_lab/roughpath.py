@@ -227,20 +227,31 @@ def _window_arrays(rp: GridRoughPath, interval=None):
     return rp.x_raw[i:j + 1], rp.xx[i:j], i, j
 
 
-def _second_level_matrix(raw: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """All-pairs second level of the window via local prefix sums.
+def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndarray:
+    """Second level of the window over every row i and the columns j >= c0.
 
     XX[i, j] = (xxc[j]-xxc[i]) + (a[j]-a[i]) - raw[i]*(raw[j]-raw[i]) with
-    xxc the cell prefix sum and a[m] = sum_{k<m} raw[k]*(raw[k+1]-raw[k]).
-    Entries with j <= i are zero. O(m^2) memory; windows are desk-sized.
+    xxc the cell prefix sum and a[m] = sum_{k<m} raw[k]*(raw[k+1]-raw[k]),
+    both accumulated from the window start. np.cumsum adds sequentially, so a
+    window cut short at any column carries the same prefix sums, bit for bit,
+    as the full window. Entries with j <= i are not meaningful.
     """
-    m = raw.size - 1
     d = np.diff(raw)
     xxc = np.concatenate([[0.0], np.cumsum(xx)])
     a = np.concatenate([[0.0], np.cumsum(raw[:-1] * d)])
-    mat = (xxc[None, :] - xxc[:, None]) + (a[None, :] - a[:, None]) \
-        - raw[:, None] * (raw[None, :] - raw[:, None])
-    return np.triu(mat, k=1) if m >= 1 else mat
+    return (xxc[None, c0:] - xxc[:, None]) + (a[None, c0:] - a[:, None]) \
+        - raw[:, None] * (raw[None, c0:] - raw[:, None])
+
+
+def _second_level_matrix(raw: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """All-pairs second level of the window; entries with j <= i are zero.
+
+    O(m^2) memory: used by the Hoelder seminorm, the rough metric and the
+    Chen-relation check on desk-sized windows. The greedy scan and the
+    control W build column blocks through _second_level_block instead.
+    """
+    mat = _second_level_block(raw, xx)
+    return np.triu(mat, k=1) if raw.size >= 2 else mat
 
 
 def holder_seminorm(rp: GridRoughPath, level, interval=None) -> float:

@@ -16,6 +16,7 @@ largest z with exp(2z) representable) bounds the admissible z.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -107,6 +108,7 @@ def ml_derivative(beta: float, z: float, horizon: float = OVERFLOW_HORIZON) -> f
     return float(ml_derivative_array(beta, np.asarray([z]), horizon)[0])
 
 
+@functools.lru_cache(maxsize=64)
 def certify_ml_bound(beta: float, z_min: float, z_max: float, n_grid: int = 1000) -> MlBoundCertificate:
     """Smallest dyadic m_beta with ml'(beta,1,z) <= m_beta exp(2z) on the grid.
 
@@ -114,6 +116,10 @@ def certify_ml_bound(beta: float, z_min: float, z_max: float, n_grid: int = 1000
     ml'(beta,1,z) * exp(-2z) and is rounded up to a multiple of 2**-20. The
     bound is always certifiable because exp(2z) dominates the exp(z)-order
     growth of the derivative.
+
+    Memoized on the arguments: constant derivations and every m_big
+    bisection step ask for the same few certificates. Callers share the
+    returned certificate and must not modify it.
     """
     if not 1.0 < z_min < z_max:
         raise ValueError("need 1 < z_min < z_max")

@@ -99,6 +99,34 @@ class TestDeterminism:
         a = (out1 / "path_seed11.csv").read_bytes()
         assert a == (out2 / "path_seed11.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs,items,cpus,expect", [
+        (8, 5, 2, 2),      # more jobs than CPUs
+        (8, 3, 16, 3),     # more jobs than items
+        (2, 5, 16, 2),     # jobs is the least
+        (8, 5, 1, None),   # one CPU: no pool at all
+        (8, 5, None, None),  # CPU count unknown: no pool at all
+    ])
+    def test_pool_size_clamped(self, monkeypatch, jobs, items, cpus, expect):
+        started = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, seq):
+                return map(fn, seq)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert cli._parallel_map(abs, [-k for k in range(items)], jobs) == list(range(items))
+        assert started == ([] if expect is None else [expect])
+
     def test_manifest_records_hash_and_versions(self, tmp_path):
         out = tmp_path / "m"
         assert run(["lift", "--seeds", "1", "--out", str(out)]) == 0

@@ -1,5 +1,7 @@
 """Control W, greedy times and counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,150 @@ class TestGreedyTimes:
         assert gp.count == gp.taus.size - 1
         assert gp.chi == 0.5 and gp.eta == ETA
         assert gp.interval == (0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# dense reference: the O(n^2)-memory scan the block kernel replaced
+# ---------------------------------------------------------------------------
+
+def dense_costs(rp, eta, i0, i1):
+    """cost[i, j] of the window [i0, i1] from full pair matrices."""
+    raw, xx = rp.x_raw[i0:i1 + 1], rp.xx[i0:i1]
+    m = raw.size - 1
+    g = rp.gamma - eta
+    p1 = 1.0 / g
+    p2 = 0.5 / g
+    wexp = -eta / g
+    d = np.diff(raw)
+    xxc = np.concatenate([[0.0], np.cumsum(xx)])
+    a = np.concatenate([[0.0], np.cumsum(raw[:-1] * d)])
+    mat = (xxc[None, :] - xxc[:, None]) + (a[None, :] - a[:, None]) \
+        - raw[:, None] * (raw[None, :] - raw[:, None])
+    mat2 = np.abs(np.triu(mat, k=1))
+    inc = np.abs(raw[None, :] - raw[:, None])
+    lag = (np.arange(m + 1)[None, :] - np.arange(m + 1)[:, None]).astype(float) * rp.dt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = np.where(lag > 0, lag ** wexp, 0.0) if eta > 0 else np.where(lag > 0, 1.0, 0.0)
+    return weight * (inc ** p1 + mat2 ** p2)
+
+
+def dense_w(rp, eta, i0, i1):
+    cost = dense_costs(rp, eta, i0, i1)
+    m = cost.shape[0] - 1
+    dp = np.empty(m + 1)
+    dp[0] = 0.0
+    for k in range(1, m + 1):
+        dp[k] = np.max(dp[:k] + cost[:k, k])
+    return dp
+
+
+def dense_scan(rp, eta, chi, i0, i1):
+    g = rp.gamma - eta
+    cuts = [i0]
+    cur = i0
+    while cur < i1:
+        cost = dense_costs(rp, eta, cur, i1)
+        m = cost.shape[0] - 1
+        dp = np.empty(m + 1)
+        dp[0] = 0.0
+        last_ok = 0
+        for k in range(1, m + 1):
+            dp[k] = np.max(dp[:k] + cost[:k, k])
+            if dp[k] ** g <= chi:
+                last_ok = k
+            else:
+                break
+        if last_ok == 0:
+            t_bad = rp.t0 + cur * rp.dt
+            raise NumericsError("grid too coarse", cell_left=t_bad, chi=chi,
+                                w_cell=float(dp[1] ** g))
+        cur += last_ok
+        cuts.append(cur)
+    return cuts
+
+
+def scan_outcome(scan, rp, eta, chi, i0, i1):
+    """Cut list, or the context of the grid-too-coarse diagnostic."""
+    try:
+        return scan(rp, eta, chi, i0, i1)
+    except NumericsError as err:
+        return err.context
+
+
+def long_lift(seed, n, gamma, spu=64, scale=0.3, hurst=0.45):
+    xs = scale * rpm.sample_fbm(hurst, n, seed, horizon=n / spu)
+    return rpm.lift_piecewise_linear(xs, 0.0, 1.0 / spu, gamma=gamma)
+
+
+# (gamma, eta, chi): eta = 0 with plain and with squared exponents, eta > 0,
+# and thresholds giving steps shorter and longer than one block of columns
+BLOCK_CASES = [(0.4, 0.0, 0.3), (0.5, 0.0, 0.2), (0.4, 0.1, 0.5), (0.49, 0.05, 0.35),
+               (0.45, 0.2, 1.5)]
+
+
+class TestBlockKernelMatchesDense:
+    @pytest.mark.parametrize("gamma,eta,chi", BLOCK_CASES)
+    @pytest.mark.parametrize("n", [37, 64, 65, 200, 333])
+    def test_cuts_and_w_identical(self, gamma, eta, chi, n):
+        for seed in range(3):
+            rp = long_lift(seed, n, gamma)
+            assert scan_outcome(greedy._greedy_scan, rp, eta, chi, 0, n) == \
+                scan_outcome(dense_scan, rp, eta, chi, 0, n)
+            assert greedy.control_w(rp, eta, 0.0, rp.end_time) == dense_w(rp, eta, 0, n)[n]
+            # a window that starts off the grid origin
+            i0, i1 = 5, n - 3
+            s, t = rp.t0 + i0 * rp.dt, rp.t0 + i1 * rp.dt
+            assert greedy.control_w(rp, eta, s, t) == dense_w(rp, eta, i0, i1)[i1 - i0]
+            assert scan_outcome(greedy._greedy_scan, rp, eta, chi, i0, i1) == \
+                scan_outcome(dense_scan, rp, eta, chi, i0, i1)
+
+    def test_steps_longer_than_a_block(self):
+        rp = long_lift(4, 333, 0.4, scale=0.1)
+        cuts = greedy._greedy_scan(rp, 0.1, 0.5, 0, 333)
+        assert max(np.diff(cuts)) > greedy._BLOCK
+        assert cuts == dense_scan(rp, 0.1, 0.5, 0, 333)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_threshold_equality_accepted(self, eta):
+        # chi equal to W(0, k) ** (gamma - eta): the step to k is accepted
+        rp = long_lift(6, 150, 0.4)
+        g = 0.4 - eta
+        for k in (1, 9, 70, 150):
+            chi = float(dense_w(rp, eta, 0, 150)[k] ** g)
+            assert greedy._control_dp(rp, eta, 0, 150, chi)[1] >= k
+            assert scan_outcome(greedy._greedy_scan, rp, eta, chi, 0, 150) == \
+                scan_outcome(dense_scan, rp, eta, chi, 0, 150)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_grid_too_coarse_context(self, eta):
+        rp = long_lift(8, 90, 0.4, scale=3.0)
+        chi = 1e-3
+        with pytest.raises(NumericsError) as want:
+            dense_scan(rp, eta, chi, 0, 90)
+        with pytest.raises(NumericsError, match="grid too coarse") as got:
+            greedy.greedy_times(rp, eta, chi)
+        assert got.value.context == want.value.context
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_all_pairs_rows_are_control_w(self, eta):
+        rp = fbm_lift(5, n=40)
+        mat = greedy.control_w_all_pairs(rp, eta)
+        for i in range(0, 40, 7):
+            for j in range(i, 41, 5):
+                assert mat[i, j] == greedy.control_w(rp, eta, i * rp.dt, j * rp.dt)
+
+
+def test_long_horizon_in_linear_memory():
+    # 16384 cells: one dense n x n float matrix would take 2 GiB
+    n = 16384
+    xs = 0.01 * rpm.sample_fbm(0.5, n, 1, horizon=256.0)
+    rp = rpm.lift_piecewise_linear(xs, 0.0, 256.0 / n, gamma=0.49)
+    tracemalloc.start()
+    try:
+        gp = greedy.greedy_times(rp, 0.05, 0.019)
+        w = greedy.control_w(rp, 0.05, 0.0, 256.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gp.count > 1 and w > 0
+    assert peak < 64 * 2 ** 20

@@ -90,6 +90,14 @@ class TestCertificate:
         # exp(z) <= m exp(2z) already with m = exp(-z_min), so far below 1.1
         assert cert.m_beta <= 1.1
 
+    def test_memoized_certificate_equals_fresh_one(self):
+        cert = specfun.certify_ml_bound(0.6, 2.0, 50.0)
+        assert specfun.certify_ml_bound(0.6, 2.0, 50.0) is cert
+        fresh = specfun.certify_ml_bound.__wrapped__(0.6, 2.0, 50.0)
+        assert fresh is not cert
+        assert (cert.beta, cert.m_beta, cert.z_min, cert.z_max, cert.n_grid) == \
+            (fresh.beta, fresh.m_beta, fresh.z_min, fresh.z_max, fresh.n_grid)
+
     def test_certificate_reverifies_on_fresh_grid(self):
         for beta in (0.4, 0.75):
             cert = specfun.certify_ml_bound(beta, 2.0, 50.0)
