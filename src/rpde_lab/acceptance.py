@@ -12,13 +12,14 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import attractor as att
 from . import cli as cli_mod
 from . import greedy, gronwall, roughpath, solver, specfun
+from .cli import sample_lift, unit_cloud, unit_state
 from .spectral import SpectralModel
 
 
@@ -47,31 +48,15 @@ def _attractor_constants(model: SpectralModel) -> att.BoundConstants:
     return att.BoundConstants.derive(model, m_big=0.078, **_GREEDY_CONS)
 
 
+# noise of the fixture lifts; sample_lift reads hurst, steps_per_unit and noise_scale
+_DESK_NOISE = cli_mod.ExperimentConfig("accept")  # H = 1/2, 32 steps per unit, scale 0.01
+_FINE_NOISE = replace(_DESK_NOISE, steps_per_unit=64)
+_UNIT_NOISE = replace(_FINE_NOISE, noise_scale=1.0)
+
+
 def _bounds_model() -> SpectralModel:
     return SpectralModel(16, lambda_a=4.0, alpha=0.0, sigma_f=0.25, sigma_g=0.0,
                          c_f=0.5, c_g=5e-4, g_kind="linear")
-
-
-def _scaled_lift(seed: int, span: float, t_start: float, gamma: float,
-                 steps_per_unit: int = 32, scale: float = 0.01,
-                 hurst: float = 0.5) -> roughpath.GridRoughPath:
-    n = int(round(span * steps_per_unit))
-    values = scale * roughpath.sample_fbm(hurst, n, seed, horizon=span)
-    return roughpath.lift_piecewise_linear(values, t_start, span / n, gamma=gamma)
-
-
-def _unit_state(model: SpectralModel, seed: int, radius: float = 1.0) -> np.ndarray:
-    rng = np.random.default_rng(10_000 + seed)
-    y0 = rng.standard_normal(model.n_modes)
-    return radius * y0 / model.frac_norm(y0, model.alpha)
-
-
-def _cloud(model: SpectralModel, n_points: int = 5, radius: float = 1.0,
-           seed: int = 777) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((n_points, model.n_modes))
-    norms = np.maximum(model.frac_norm_rows(pts, model.alpha), 1e-12)
-    return radius * pts / norms[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +73,9 @@ def criterion_1() -> CriterionResult:
             expect = ((j - i) * dt) ** 2 / 2.0
             worst_exact = max(worst_exact, abs(lin.second_level(i, j) - expect))
     worst_defect = 0.0
+    noise = replace(_UNIT_NOISE, steps_per_unit=n, hurst=0.45)
     for seed in range(5):
-        rp = _scaled_lift(seed, 1.0, 0.0, 0.4, steps_per_unit=n, scale=1.0, hurst=0.45)
+        rp = sample_lift(noise, seed, 1.0, 0.0, 0.4)
         raw, xx = rp.x_raw, rp.xx
         mat = roughpath._second_level_matrix(raw, xx)
         for u in range(1, n):
@@ -154,8 +140,9 @@ def criterion_2() -> CriterionResult:
     chi = 0.5
     count_ok = True
     super_ok = True
+    noise = replace(_FINE_NOISE, noise_scale=0.3, hurst=0.45)
     for seed in range(100):
-        rp = _scaled_lift(seed, 1.0, 0.0, gamma, steps_per_unit=64, scale=0.3, hurst=0.45)
+        rp = sample_lift(noise, seed, 1.0, 0.0, gamma)
         w_full = greedy.control_w(rp, eta, 0.0, 1.0)
         n_steps = greedy.count_in_window(rp, eta, chi, 0.0, 1.0)
         count_ok &= n_steps <= w_full * chi ** (-1.0 / (gamma - eta)) + 1.0
@@ -267,7 +254,7 @@ def criterion_5() -> CriterionResult:
     order_ok = order >= 1.5 * gamma * 0.8  # stated order with 20% slope tolerance
 
     model = SpectralModel(8, lambda_a=2.0, alpha=0.0)
-    rp = _scaled_lift(3, 1.0, 0.0, 0.5, steps_per_unit=64, scale=1.0)
+    rp = sample_lift(_UNIT_NOISE, 3, 1.0, 0.0, 0.5)
     path = solver.solve_mild(model, np.ones(8), rp)
     exact_final = np.exp(-model.mu * 1.0)
     decay_err = float(np.max(np.abs(path.y[-1] - exact_final)))
@@ -282,9 +269,8 @@ def criterion_5() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def _bounds_case(model, seed: int):
-    rp = _scaled_lift(seed, 4.0, 0.0, 0.49, steps_per_unit=64, scale=0.01)
-    y0 = _unit_state(model, seed)
-    traj = solver.solve_mild(model, y0, rp)
+    rp = sample_lift(_FINE_NOISE, seed, 4.0, 0.0, 0.49)
+    traj = solver.solve_mild(model, unit_state(model, seed), rp)
     return traj, rp
 
 
@@ -313,16 +299,16 @@ def criterion_6() -> CriterionResult:
 def criterion_7() -> CriterionResult:
     model0 = _attractor_model(0.0)
     cons = _attractor_constants(model0)
-    samples = [_scaled_lift(seed, 4.0, 0.0, cons.gamma) for seed in range(16)]
+    samples = [sample_lift(_DESK_NOISE, seed, 4.0, 0.0, cons.gamma) for seed in range(16)]
     erg = att.ergodic_moments(samples, cons.q_moment)
     gap = att.check_gap_condition(cons, erg)
     if not gap.passed:
         return CriterionResult(7, "absorbing and pullback", False,
                                f"gap condition failed: {gap.lhs} <= {gap.rhs}")
 
-    cloud = _cloud(model0)
+    cloud = unit_cloud(model0, 5)
     t_list = (2.0, 4.0, 8.0, 16.0)
-    ens = [(seed, _scaled_lift(seed, 17.0, -16.0, cons.gamma)) for seed in range(3)]
+    ens = [(seed, sample_lift(_DESK_NOISE, seed, 17.0, -16.0, cons.gamma)) for seed in range(3)]
     rep = att.pullback_estimate(model0, cons, ens, t_list, cloud)
     initial_diam = att.cloud_diameter(model0, cloud)
     decay_ok = True
@@ -342,9 +328,9 @@ def criterion_7() -> CriterionResult:
     cons_g = _attractor_constants(model_g)
     n_acc = 0
     for seed in range(50):
-        rp = _scaled_lift(seed, 14.0, -13.0, cons_g.gamma)
+        rp = sample_lift(_DESK_NOISE, seed, 14.0, -13.0, cons_g.gamma)
         rep_a = att.absorbing_radius(rp, cons_g, truncation_k=12, model=model_g,
-                                     y0=model_g.state(_unit_state(model_g, seed)),
+                                     y0=model_g.state(unit_state(model_g, seed)),
                                      ergodic=erg)
         n_acc += bool(rep_a.accepted)
     passed = decay_ok and rate_ok and n_acc >= 48  # >= 95% of 50
@@ -362,16 +348,16 @@ def criterion_8() -> CriterionResult:
     model = _attractor_model(2e-4, g_kind="integral")
     cons = _attractor_constants(model)
     beta = 0.5 * min(1.0 - cons.sigma_f, cons.gamma - cons.sigma_g)
-    samples = [_scaled_lift(seed, 4.0, 0.0, cons.gamma) for seed in range(16)]
+    samples = [sample_lift(_DESK_NOISE, seed, 4.0, 0.0, cons.gamma) for seed in range(16)]
     erg = att.ergodic_moments(samples, cons.q_moment)
     gap = att.check_gap_condition(cons, erg, beta=beta)
     if not gap.passed_shifted:
         return CriterionResult(8, "attractor regularity", False,
                                f"shifted gap condition failed: {gap.lhs_shifted} <= {gap.rhs_shifted}")
-    cloud = _cloud(model)
+    cloud = unit_cloud(model, 5)
     worst = 0.0
     for seed in range(8):
-        rp = _scaled_lift(seed, 17.0, -16.0, cons.gamma)
+        rp = sample_lift(_DESK_NOISE, seed, 17.0, -16.0, cons.gamma)
         rep = att.pullback_estimate(model, cons, [(seed, rp)], (16.0,), cloud)
         pts = rep.evolved[(seed, 16.0)]
         worst = max(worst, float(np.max(model.frac_norm_rows(pts, model.alpha + beta))))

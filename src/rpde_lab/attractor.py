@@ -40,7 +40,7 @@ from .greedy import count_in_window
 from .gronwall import discrete_gronwall
 from .roughpath import GridRoughPath, holder_seminorm
 from .solver import ControlledPath, controlled_norm, solve_mild
-from .spectral import SpectralModel
+from .spectral import SpectralModel, smoothing_constant
 from .specfun import certify_ml_bound, gamma_fn, mittag_leffler
 
 _LOG_MAX = 709.0
@@ -48,16 +48,6 @@ _LOG_MAX = 709.0
 
 def _exp_guard(logv: float) -> float:
     return math.inf if logv > _LOG_MAX else math.exp(logv)
-
-
-def _smoothing_from_mu1(sigma: float, lam: float, mu1: float) -> float:
-    """sup_u u^sigma exp(-(1 - lam/mu1) u), the diagonal-model constant."""
-    if sigma == 0.0:
-        return 1.0
-    if lam >= mu1:
-        raise ConfigError(f"decay rate {lam} must stay below mu_1 = {mu1}")
-    rate = 1.0 - lam / mu1
-    return (sigma / rate) ** sigma * math.exp(-sigma)
 
 
 def step_cap(m_tilde: float, sigma_f: float, gamma: float) -> float:
@@ -71,6 +61,11 @@ def step_cap(m_tilde: float, sigma_f: float, gamma: float) -> float:
 def unit_blocks(m_tilde: float, sigma_f: float, gamma: float) -> int:
     """Block count of a unit interval chopped into steps of length d."""
     return math.ceil(1.0 / step_cap(m_tilde, sigma_f, gamma) - 1e-9)
+
+
+def window_blocks(length: float, d_step: float) -> int:
+    """Block count of a window of the given length chopped into steps d_step."""
+    return max(1, math.ceil(length / d_step - 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +162,7 @@ class BoundConstants:
             n_tilde = n_formula
             d_step = d_formula
 
-        c_minus = _smoothing_from_mu1(self.sigma_f, self.lambda_a, self.mu1)
+        c_minus = smoothing_constant(self.sigma_f, self.lambda_a, self.mu1)
         if self.c_f > 0:
             big_l = 2.0 * (c_minus * self.c_f * gamma_fn(1.0 - self.sigma_f)) ** (1.0 / (1.0 - self.sigma_f))
         else:
@@ -295,12 +290,37 @@ class PConstants:
         return self.semi_x + self.semi_xx
 
 
+def p_values(n: int, sx: float, sxx: float, n_tilde: int, m_big: float,
+             m_tilde: float) -> tuple:
+    """(P-tilde, P1, P2) of a window with greedy count n, seminorms sx, sxx
+    and n_tilde blocks.
+
+    A factor whose logarithm passes 709 evaluates to inf, and so does every
+    constant it enters. The geometric factor of P2 is evaluated as the limit
+    value n_tilde when p_tilde is within 1e-9 of one.
+    """
+    log_pt = math.log(m_big) + math.log(n) + math.log1p(sx) + n * m_tilde
+    p_tilde = _exp_guard(log_pt)
+    p1 = n_tilde * _exp_guard((n_tilde + 1) * log_pt)
+    if math.isinf(p_tilde):
+        geom = math.inf
+    elif abs(p_tilde - 1.0) < 1e-9:
+        geom = float(n_tilde)
+    else:
+        p_pow = _exp_guard(n_tilde * log_pt)
+        geom = math.inf if math.isinf(p_pow) else (p_pow - 1.0) / (p_tilde - 1.0)
+    exp_arg = n * m_tilde + m_tilde
+    ratio = math.inf if exp_arg > _LOG_MAX else \
+        (math.exp(exp_arg) - 1.0) / (math.exp(m_tilde) - 1.0)
+    p2 = m_big * n_tilde * n * (1.0 + sx) * ratio * poly_p(sx, sxx) * geom
+    return p_tilde, p1, p2
+
+
 def eval_p_constants(rp: GridRoughPath, constants: BoundConstants, interval) -> PConstants:
     """Evaluate the window constants of the solution bound on one interval.
 
     The interval may not exceed length one; its block count is
-    ceil(length / d_step). The geometric factor of P2 is evaluated as the
-    limit value n_tilde when p_tilde is within 1e-9 of one.
+    ceil(length / d_step), and p_values gives the constants.
     """
     s, t = float(interval[0]), float(interval[1])
     length = t - s
@@ -311,23 +331,8 @@ def eval_p_constants(rp: GridRoughPath, constants: BoundConstants, interval) -> 
     n = count_in_window(rp, constants.eta, constants.chi, s, t)
     sx = holder_seminorm(rp, "first", (s, t))
     sxx = holder_seminorm(rp, "second", (s, t))
-    n_tilde = max(1, math.ceil(length / constants.d_step - 1e-12))
-    log_pt = (math.log(constants.m_big) + math.log(n)
-              + math.log1p(sx) + n * constants.m_tilde)
-    p_tilde = _exp_guard(log_pt)
-    p1 = n_tilde * _exp_guard((n_tilde + 1) * log_pt)
-    if math.isinf(p_tilde):
-        geom = math.inf
-    elif abs(p_tilde - 1.0) < 1e-9:
-        geom = float(n_tilde)
-    else:
-        p_pow = _exp_guard(n_tilde * log_pt)
-        geom = math.inf if math.isinf(p_pow) else (p_pow - 1.0) / (p_tilde - 1.0)
-    exp_arg = n * constants.m_tilde + constants.m_tilde
-    ratio = math.inf if exp_arg > _LOG_MAX else \
-        (math.exp(exp_arg) - 1.0) / (math.exp(constants.m_tilde) - 1.0)
-    p2 = (constants.m_big * n_tilde * n * (1.0 + sx) * ratio
-          * poly_p(sx, sxx) * geom)
+    n_tilde = window_blocks(length, constants.d_step)
+    p_tilde, p1, p2 = p_values(n, sx, sxx, n_tilde, constants.m_big, constants.m_tilde)
     return PConstants(p_tilde, p1, p2, n, sx, sxx, n_tilde, (s, t))
 
 
@@ -377,27 +382,14 @@ def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
         sx = holder_seminorm(rp, "first", interval)
         sxx = holder_seminorm(rp, "second", interval)
         ynorm = model.frac_norm(traj.y[_traj_index(traj, interval[0])], model.alpha)
-        length = interval[1] - interval[0]
-        data.append((lhs, n, sx, sxx, ynorm, length))
+        n_tilde = window_blocks(interval[1] - interval[0], constants.d_step)
+        data.append((lhs, n, sx, sxx, ynorm, n_tilde))
 
+    # d_step and m_tilde do not depend on m_big; an overflowing window has
+    # rhs = inf (or nan when ynorm = 0) and never counts as a miss
     def ok(m_big: float) -> bool:
-        cons = constants.with_m_big(m_big)
-        for lhs, n, sx, sxx, ynorm, length in data:
-            n_tilde = max(1, math.ceil(length / cons.d_step - 1e-12))
-            log_pt = math.log(m_big) + math.log(n) + math.log1p(sx) + n * cons.m_tilde
-            p_tilde = _exp_guard(log_pt)
-            p1 = n_tilde * _exp_guard((n_tilde + 1) * log_pt)
-            if math.isinf(p_tilde):
-                continue
-            if abs(p_tilde - 1.0) < 1e-9:
-                geom = float(n_tilde)
-            else:
-                geom = (_exp_guard(n_tilde * log_pt) - 1.0) / (p_tilde - 1.0)
-            exp_arg = n * cons.m_tilde + cons.m_tilde
-            if exp_arg > _LOG_MAX:
-                continue
-            ratio = (math.exp(exp_arg) - 1.0) / (math.exp(cons.m_tilde) - 1.0)
-            p2 = m_big * n_tilde * n * (1.0 + sx) * ratio * poly_p(sx, sxx) * geom
+        for lhs, n, sx, sxx, ynorm, n_tilde in data:
+            _, p1, p2 = p_values(n, sx, sxx, n_tilde, m_big, constants.m_tilde)
             if ynorm * p1 + p2 < (1.0 + margin) * lhs:
                 return False
         return True
@@ -692,7 +684,7 @@ def check_gap_condition(constants: BoundConstants, ergodic: ErgodicReport,
     if not 0.0 < beta < limit:
         raise ValueError(
             f"invalid regularity shift: need 0 < beta < {limit}, got {beta}")
-    c_shift = _smoothing_from_mu1(constants.sigma_f + beta, constants.lambda_a, constants.mu1)
+    c_shift = smoothing_constant(constants.sigma_f + beta, constants.lambda_a, constants.mu1)
     if constants.c_f > 0:
         expo = 1.0 - constants.sigma_f - beta
         l_shift = 2.0 * (c_shift * constants.c_f * gamma_fn(expo)) ** (1.0 / expo)
@@ -701,7 +693,7 @@ def check_gap_condition(constants: BoundConstants, ergodic: ErgodicReport,
     lhs_b = constants.lambda_a - l_shift
     m_beta_b = certify_ml_bound(1.0 - constants.sigma_f - beta,
                                 constants.z_min, constants.z_max).m_beta
-    c_minus_b = _smoothing_from_mu1(beta, constants.lambda_a, constants.mu1)
+    c_minus_b = smoothing_constant(beta, constants.lambda_a, constants.mu1)
     c_tilde_1b = max(constants.c_i, c_minus_b * constants.c_i) \
         * math.exp(constants.lambda_a) * min(constants.l_tilde, m_beta_b / 2.0)
     c_b = constants.c_of_n * max(constants.m_tilde, c_tilde_1b * constants.c_g)

@@ -24,14 +24,15 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__
 from . import attractor as att
 from . import gronwall, roughpath, solver, specfun
-from .configio import dump_kv_text, get_typed, load_kv_file, write_csv, write_kv_file
+from .configio import (dump_kv_text, format_value, get_typed, load_kv_file, write_csv,
+                       write_kv_file)
 from .errors import ConfigError, NumericsError
 from .spectral import SpectralModel, model_from_config
 
@@ -43,10 +44,14 @@ COMMANDS = ("lift", "greedy", "specfun-cert", "gronwall", "solve", "bounds",
 
 @dataclass
 class ExperimentConfig:
-    """Resolved run settings; field names double as config keys."""
+    """Resolved run settings; field names double as config keys.
+
+    The field order is the manifest order, which fixes ``config_hash``; the
+    annotation picks the parser of each key.
+    """
 
     command: str
-    seeds: tuple = (0,)
+    seeds: tuple[int, ...] = (0,)
     out: str = "out"
     jobs: int = 1
     verbose: bool = False
@@ -60,13 +65,33 @@ class ExperimentConfig:
     calib_margin: float = 0.1
     trunc_k: int = 12
     eps_points: int = 11
-    t_list: tuple = (2.0, 4.0, 8.0, 16.0)
+    t_list: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0)
     cloud_points: int = 5
     cloud_radius: float = 1.0
     q_moment: float = 0.0    # 0 -> use the derived q
     beta_shift: float = 0.0  # 0 -> half the admissible limit
-    config_path: str = ""
-    extras: dict = field(default_factory=dict)
+    config_path: str = ""  # the file the settings came from; not itself a key
+
+
+# the config keys, in manifest order
+_SETTINGS = tuple(f for f in fields(ExperimentConfig) if f.name != "config_path")
+_KINDS = {"str": str, "int": int, "float": float, "bool": bool,
+          "tuple[int, ...]": int, "tuple[float, ...]": float}
+# written into every manifest beside the settings; ignored when one is replayed
+_BOOKKEEPING = ("config_hash", "package_version", "python_version", "numpy_version",
+                "wall_time_s")
+# (key, requirement, test) of the settings that have a valid range
+_RANGES = (
+    ("hurst", "must lie in (1/3, 1]", lambda v: 1.0 / 3.0 < v <= 1.0),
+    ("steps_per_unit", "must be at least 1", lambda v: v >= 1),
+    ("horizon", "must be positive", lambda v: v > 0),
+    ("train_seeds", "must be at least 1", lambda v: v >= 1),
+    ("trunc_k", "must be at least 2", lambda v: v >= 2),
+    ("eps_points", "must be at least 1", lambda v: v >= 1),
+    ("t_list", "must hold positive times", lambda v: min(v) > 0),
+    ("cloud_points", "must be at least 1", lambda v: v >= 1),
+    ("q_moment", "must be 0 (the derived order) or at least 1", lambda v: v == 0 or v >= 1),
+)
 
 
 def default_model_pairs() -> dict:
@@ -82,58 +107,33 @@ def default_constants_pairs() -> dict:
             "delta_bar": 0.1, "n_tilde": 2}
 
 
-def _parse_seed_list(raw: str) -> tuple:
+def _parse_list(key: str, raw: str, kind) -> tuple:
     try:
-        seeds = tuple(int(p) for p in raw.replace(" ", "").split(",") if p != "")
+        values = tuple(kind(p) for p in raw.replace(" ", "").split(",") if p != "")
     except ValueError as exc:
-        raise ConfigError(f"cannot parse seed list {raw!r}") from exc
-    if not seeds:
-        raise ConfigError("seed list must not be empty")
-    return seeds
-
-
-def _parse_float_list(raw: str) -> tuple:
-    return tuple(float(p) for p in raw.replace(" ", "").split(",") if p != "")
+        raise ConfigError(f"config key {key}: cannot parse {raw!r} as a {kind.__name__} list") from exc
+    if not values:
+        raise ConfigError(f"config key {key}: the list must not be empty")
+    return values
 
 
 def load_experiment(path: str | None, overrides: dict) -> ExperimentConfig:
+    """Settings from the config file, then the non-empty overrides, checked.
+
+    A config that carries ``config_hash`` is a manifest: its seeds are the
+    ones that ran, so the seed offset is not applied again.
+    """
     pairs = load_kv_file(path) if path else {}
-    known = {}
-    extras = {}
-    for key, value in pairs.items():
-        if key in ("wall_time_s", "config_hash", "package_version",
-                   "python_version", "numpy_version"):
-            continue  # manifest bookkeeping, not run settings
-        known[key] = value
-    cfg = ExperimentConfig(command=known.get("command", overrides.get("command", "")))
-    if "command" in overrides and overrides["command"]:
-        cfg.command = overrides["command"]
-    if not cfg.command:
-        raise ConfigError("no command given (positional argument or 'command' key)")
-    if cfg.command not in COMMANDS:
-        raise ConfigError(f"unknown command {cfg.command!r}; choose from {COMMANDS}")
-    if "seeds" in known:
-        cfg.seeds = _parse_seed_list(known["seeds"])
-    if "t_list" in known:
-        cfg.t_list = _parse_float_list(known["t_list"])
-    for key in ("out", "model", "constants"):
-        if key in known:
-            setattr(cfg, key, known[key])
-    for key, kind in (("jobs", int), ("verbose", bool), ("hurst", float),
-                      ("steps_per_unit", int), ("horizon", float),
-                      ("noise_scale", float), ("train_seeds", int),
-                      ("calib_margin", float), ("trunc_k", int),
-                      ("eps_points", int), ("cloud_points", int),
-                      ("cloud_radius", float), ("q_moment", float),
-                      ("beta_shift", float)):
-        if key in known:
-            setattr(cfg, key, get_typed(known, key, kind))
-    handled = {"command", "seeds", "t_list", "out", "model", "constants",
-               "jobs", "verbose", "hurst", "steps_per_unit", "horizon",
-               "noise_scale", "train_seeds", "calib_margin", "trunc_k",
-               "eps_points", "cloud_points", "cloud_radius", "q_moment",
-               "beta_shift"}
-    cfg.extras = {k: v for k, v in known.items() if k not in handled}
+    annotations = {f.name: f.type for f in _SETTINGS}
+    unknown = [key for key in pairs if key not in annotations and key not in _BOOKKEEPING]
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(unknown)}")
+    cfg = ExperimentConfig(command="")
+    for key, raw in pairs.items():
+        if key in annotations:
+            kind = _KINDS[annotations[key]]
+            setattr(cfg, key, _parse_list(key, raw, kind) if annotations[key].startswith("tuple")
+                    else get_typed(pairs, key, kind))
     if path:
         # referenced files resolve relative to the config file itself
         base = os.path.dirname(os.path.abspath(path))
@@ -142,10 +142,20 @@ def load_experiment(path: str | None, overrides: dict) -> ExperimentConfig:
             if value and not os.path.isabs(value):
                 setattr(cfg, key, os.path.join(base, value))
     for key, value in overrides.items():
-        if value is not None and key != "command":
+        if value is not None and (value or key != "command"):
             setattr(cfg, key, value)
-    offset = int(os.environ.get(SEED_ENV, "0"))
-    if offset:
+    if not cfg.command:
+        raise ConfigError("no command given (positional argument or 'command' key)")
+    if cfg.command not in COMMANDS:
+        raise ConfigError(f"unknown command {cfg.command!r}; choose from {COMMANDS}")
+    for key, need, valid in _RANGES:
+        if not valid(getattr(cfg, key)):
+            raise ConfigError(f"config key {key} {need}, got {getattr(cfg, key)!r}")
+    try:
+        offset = int(os.environ.get(SEED_ENV, "0"))
+    except ValueError as exc:
+        raise ConfigError(f"{SEED_ENV} must be an integer, got {os.environ[SEED_ENV]!r}") from exc
+    if offset and "config_hash" not in pairs:
         cfg.seeds = tuple(s + offset for s in cfg.seeds)
     cfg.config_path = path or ""
     return cfg
@@ -167,9 +177,27 @@ def _build_constants(cfg: ExperimentConfig, model: SpectralModel) -> att.BoundCo
 
 def sample_lift(cfg: ExperimentConfig, seed: int, span: float, t_start: float,
                 gamma: float) -> roughpath.GridRoughPath:
+    """Lift of the seeded fBm noise of cfg (hurst, steps_per_unit, noise_scale)."""
     n = int(round(span * cfg.steps_per_unit))
     values = cfg.noise_scale * roughpath.sample_fbm(cfg.hurst, n, seed, horizon=span)
     return roughpath.lift_piecewise_linear(values, t_start, span / n, gamma=gamma)
+
+
+def unit_state(model: SpectralModel, seed: int, radius: float = 1.0) -> np.ndarray:
+    """The seeded random initial state of a run, scaled to alpha-norm radius."""
+    rng = np.random.default_rng(10_000 + seed)
+    y0 = rng.standard_normal(model.n_modes)
+    y0 /= max(model.frac_norm(y0, model.alpha), 1e-12)
+    y0 *= radius
+    return y0
+
+
+def unit_cloud(model: SpectralModel, n_points: int, radius: float = 1.0) -> np.ndarray:
+    """A fixed random cloud of n_points states, each of alpha-norm radius."""
+    rng = np.random.default_rng(777)
+    cloud = rng.standard_normal((n_points, model.n_modes))
+    cloud *= radius / np.maximum(model.frac_norm_rows(cloud, model.alpha), 1e-12)[:, None]
+    return cloud
 
 
 def _parallel_map(fn, items, jobs: int):
@@ -189,26 +217,11 @@ def _ensure_out(cfg: ExperimentConfig) -> str:
     return cfg.out
 
 
-def _config_pairs_for_manifest(cfg: ExperimentConfig) -> dict:
-    pairs = {
-        "command": cfg.command,
-        "seeds": ",".join(str(s) for s in cfg.seeds),
-        "out": cfg.out, "jobs": cfg.jobs, "verbose": cfg.verbose,
-        "model": cfg.model, "constants": cfg.constants,
-        "hurst": cfg.hurst, "steps_per_unit": cfg.steps_per_unit,
-        "horizon": cfg.horizon, "noise_scale": cfg.noise_scale,
-        "train_seeds": cfg.train_seeds, "calib_margin": cfg.calib_margin,
-        "trunc_k": cfg.trunc_k, "eps_points": cfg.eps_points,
-        "t_list": ",".join(repr(t) for t in cfg.t_list),
-        "cloud_points": cfg.cloud_points, "cloud_radius": cfg.cloud_radius,
-        "q_moment": cfg.q_moment, "beta_shift": cfg.beta_shift,
-    }
-    pairs.update(cfg.extras)
-    return pairs
-
-
 def write_manifest(cfg: ExperimentConfig, wall_time: float) -> None:
-    pairs = _config_pairs_for_manifest(cfg)
+    pairs = {}
+    for f in _SETTINGS:
+        value = getattr(cfg, f.name)
+        pairs[f.name] = ",".join(repr(v) for v in value) if isinstance(value, tuple) else value
     digest = hashlib.sha256(dump_kv_text(pairs).encode()).hexdigest()
     pairs_out = dict(pairs)
     pairs_out["config_hash"] = digest
@@ -236,8 +249,7 @@ def _cmd_lift(cfg: ExperimentConfig) -> None:
 
 
 def _greedy_task(args):
-    cfg_pairs, seed = args
-    cfg = _cfg_from_pairs(cfg_pairs)
+    cfg, seed = args
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     rp = sample_lift(cfg, seed, cfg.horizon, 0.0, cons.gamma)
@@ -249,7 +261,7 @@ def _greedy_task(args):
 
 def _cmd_greedy(cfg: ExperimentConfig) -> None:
     out = _ensure_out(cfg)
-    rows = _parallel_map(_greedy_task, [(_cfg_pairs(cfg), s) for s in cfg.seeds], cfg.jobs)
+    rows = _parallel_map(_greedy_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     write_csv(os.path.join(out, "greedy.csv"),
               ["interval", "N", "W", "chi", "eta"], rows)
 
@@ -279,7 +291,7 @@ def _cmd_gronwall(cfg: ExperimentConfig) -> None:
     curve.write_csv(os.path.join(out, "gronwall_bound.csv"))
 
 
-def _traj_rows(model: SpectralModel, path: solver.ControlledPath, seed: int):
+def _traj_rows(model: SpectralModel, path: solver.ControlledPath):
     m = min(8, model.n_modes)
     rows = []
     for k, t in enumerate(path.times):
@@ -288,17 +300,18 @@ def _traj_rows(model: SpectralModel, path: solver.ControlledPath, seed: int):
     return rows
 
 
-def _solve_task(args):
-    cfg_pairs, seed = args
-    cfg = _cfg_from_pairs(cfg_pairs)
+def _solve_case(args):
+    """Seed's trajectory over [0, horizon] from its unit initial state."""
+    cfg, seed = args
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     rp = sample_lift(cfg, seed, cfg.horizon, 0.0, cons.gamma)
-    rng = np.random.default_rng(10_000 + seed)
-    y0 = rng.standard_normal(model.n_modes)
-    y0 /= max(model.frac_norm(y0, model.alpha), 1e-12)
-    path = solver.solve_mild(model, y0, rp)
-    return seed, _traj_rows(model, path, seed)
+    return model, rp, solver.solve_mild(model, unit_state(model, seed), rp)
+
+
+def _solve_task(args):
+    model, _, path = _solve_case(args)
+    return args[1], _traj_rows(model, path)
 
 
 def _cmd_solve(cfg: ExperimentConfig) -> None:
@@ -306,22 +319,15 @@ def _cmd_solve(cfg: ExperimentConfig) -> None:
     model = _build_model(cfg)
     m = min(8, model.n_modes)
     header = ["t", "norm_alpha"] + [f"coeff_{i + 1}" for i in range(m)]
-    results = _parallel_map(_solve_task, [(_cfg_pairs(cfg), s) for s in cfg.seeds], cfg.jobs)
+    results = _parallel_map(_solve_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     for seed, rows in results:
         write_csv(os.path.join(out, f"trajectory_seed{seed}.csv"), header, rows)
 
 
 def _bounds_case(args):
-    cfg_pairs, seed = args
-    cfg = _cfg_from_pairs(cfg_pairs)
-    model = _build_model(cfg)
-    cons = _build_constants(cfg, model)
-    rp = sample_lift(cfg, seed, cfg.horizon, 0.0, cons.gamma)
-    rng = np.random.default_rng(10_000 + seed)
-    y0 = rng.standard_normal(model.n_modes)
-    y0 /= max(model.frac_norm(y0, model.alpha), 1e-12)
-    traj = solver.solve_mild(model, y0, rp)
-    return seed, traj, rp
+    # the model stays in the worker: an integral kernel's closures do not pickle
+    _, rp, traj = _solve_case(args)
+    return args[1], traj, rp
 
 
 def _apriori_time(horizon: float) -> float:
@@ -332,13 +338,12 @@ def _cmd_bounds(cfg: ExperimentConfig) -> None:
     out = _ensure_out(cfg)
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
-    pairs = _cfg_pairs(cfg)
-    train = _parallel_map(_bounds_case, [(pairs, s) for s in range(cfg.train_seeds)], cfg.jobs)
+    train = _parallel_map(_bounds_case, [(cfg, s) for s in range(cfg.train_seeds)], cfg.jobs)
     cons = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for _, t, r in train],
                                cons, margin=cfg.calib_margin)
     rows = []
     t_check = _apriori_time(cfg.horizon)
-    for seed, traj, rp in _parallel_map(_bounds_case, [(pairs, s) for s in cfg.seeds], cfg.jobs):
+    for seed, traj, rp in _parallel_map(_bounds_case, [(cfg, s) for s in cfg.seeds], cfg.jobs):
         sol = att.check_solution_bound(model, traj, rp, cons, (0.0, 1.0))
         apr = att.apriori_bound(model, traj, rp, cons, t_check)
         rows.append((seed, "0..1", "solution", sol.lhs, sol.rhs, int(sol.passed)))
@@ -373,42 +378,34 @@ def _cmd_ergodic(cfg: ExperimentConfig) -> None:
 
 
 def _absorb_task(args):
-    cfg_pairs, seed = args
-    cfg = _cfg_from_pairs(cfg_pairs)
+    cfg, seed = args
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     span = cfg.trunc_k + 2.0
     rp = sample_lift(cfg, seed, span, -(cfg.trunc_k + 1.0), cons.gamma)
-    rng = np.random.default_rng(10_000 + seed)
-    y0 = rng.standard_normal(model.n_modes)
-    y0 /= max(model.frac_norm(y0, model.alpha), 1e-12)
-    y0 *= cfg.cloud_radius
     rep = att.absorbing_radius(rp, cons, truncation_k=cfg.trunc_k,
                                eps_points=cfg.eps_points, model=model,
-                               y0=model.state(y0))
+                               y0=model.state(unit_state(model, seed, cfg.cloud_radius)))
     return (seed, rep.radius, rep.r_value, rep.p1_val, rep.p2_val,
             rep.tail_bound, int(bool(rep.accepted)), rep.final_norm)
 
 
 def _cmd_absorb(cfg: ExperimentConfig) -> None:
     out = _ensure_out(cfg)
-    rows = _parallel_map(_absorb_task, [(_cfg_pairs(cfg), s) for s in cfg.seeds], cfg.jobs)
+    rows = _parallel_map(_absorb_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     write_csv(os.path.join(out, "absorb.csv"),
               ["seed", "radius", "r_value", "p1", "p2", "tail_bound",
                "accepted", "final_norm"], rows)
 
 
 def _pullback_task(args):
-    cfg_pairs, seed = args
-    cfg = _cfg_from_pairs(cfg_pairs)
+    cfg, seed = args
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     t_max = max(cfg.t_list)
     span = max(t_max, cfg.trunc_k + 1.0) + 1.0
     rp = sample_lift(cfg, seed, span, -(span - 1.0), cons.gamma)
-    rng = np.random.default_rng(777)
-    cloud = rng.standard_normal((cfg.cloud_points, model.n_modes))
-    cloud *= cfg.cloud_radius / np.maximum(model.frac_norm_rows(cloud, model.alpha), 1e-12)[:, None]
+    cloud = unit_cloud(model, cfg.cloud_points, cfg.cloud_radius)
     report = att.pullback_estimate(model, cons, [(seed, rp)], cfg.t_list, cloud)
     absorb = att.absorbing_radius(rp, cons, truncation_k=cfg.trunc_k,
                                   eps_points=cfg.eps_points, model=model,
@@ -423,7 +420,7 @@ def _pullback_task(args):
 
 def _cmd_pullback(cfg: ExperimentConfig) -> None:
     out = _ensure_out(cfg)
-    results = _parallel_map(_pullback_task, [(_cfg_pairs(cfg), s) for s in cfg.seeds], cfg.jobs)
+    results = _parallel_map(_pullback_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     rows = [row for chunk in results for row in chunk]
     write_csv(os.path.join(out, "pullback.csv"),
               ["seed", "t", "diameter", "semidistance", "radius", "accepted"], rows)
@@ -437,28 +434,6 @@ def _cmd_accept(cfg: ExperimentConfig) -> int:
               ["criterion", "name", "passed", "detail"],
               [(r.index, r.name, int(r.passed), r.detail) for r in results])
     return 0 if all(r.passed for r in results) else 4
-
-
-def _cfg_pairs(cfg: ExperimentConfig) -> dict:
-    return _config_pairs_for_manifest(cfg)
-
-
-def _cfg_from_pairs(pairs: dict) -> ExperimentConfig:
-    cfg = ExperimentConfig(command=pairs["command"])
-    cfg.seeds = _parse_seed_list(str(pairs["seeds"]))
-    cfg.t_list = _parse_float_list(str(pairs["t_list"]))
-    cfg.out = str(pairs["out"])
-    cfg.model = str(pairs["model"])
-    cfg.constants = str(pairs["constants"])
-    for key, kind in (("jobs", int), ("hurst", float), ("steps_per_unit", int),
-                      ("horizon", float), ("noise_scale", float),
-                      ("train_seeds", int), ("calib_margin", float),
-                      ("trunc_k", int), ("eps_points", int),
-                      ("cloud_points", int), ("cloud_radius", float),
-                      ("q_moment", float), ("beta_shift", float)):
-        setattr(cfg, key, kind(pairs[key]))
-    cfg.verbose = str(pairs.get("verbose", "false")).lower() in ("1", "true", "yes", "on")
-    return cfg
 
 
 _DRIVERS = {
@@ -489,10 +464,10 @@ def main(argv=None) -> int:
 
     overrides = {"command": args.command, "out": args.out, "jobs": args.jobs,
                  "verbose": args.verbose}
-    if args.seeds is not None:
-        overrides["seeds"] = _parse_seed_list(args.seeds)
     start = time.monotonic()
     try:
+        if args.seeds is not None:
+            overrides["seeds"] = _parse_list("seeds", args.seeds, int)
         cfg = load_experiment(args.config, overrides)
         if cfg.command == "accept":
             code = _cmd_accept(cfg)
@@ -505,7 +480,8 @@ def main(argv=None) -> int:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
-        print(f"numerics: {exc}", file=sys.stderr)
+        context = ", ".join(f"{k}={format_value(v)}" for k, v in exc.context.items())
+        print(f"numerics: {exc}" + (f" ({context})" if context else ""), file=sys.stderr)
         return 3
 
 

@@ -85,6 +85,23 @@ def _default_kernel(c_g: float) -> IntegralKernel:
     return IntegralKernel(g, d1, d2, d3, deriv_bound=2.0 * abs(c_g))
 
 
+def smoothing_constant(sigma: float, lam: float, mu1: float) -> float:
+    """Least per-mode constant with |S_t x|_(a+sigma) <= C exp(-lam t) t^-sigma |x|_a.
+
+    Equals sup_u u^sigma exp(-(1 - lam/mu1) u) for the bottom eigenvalue mu1;
+    requires sigma >= 0 and lam < mu1.
+    """
+    if sigma < 0:
+        raise ConfigError("sigma must be nonnegative")
+    if sigma == 0.0:
+        return 1.0
+    if lam >= mu1:
+        raise ConfigError(f"decay rate {lam} must stay below mu_1 = {mu1}")
+    rate = 1.0 - lam / mu1
+    u = sigma / rate
+    return u ** sigma * math.exp(-sigma)
+
+
 class SpectralModel:
     """Immutable diagonal model with coefficient configuration."""
 
@@ -175,20 +192,8 @@ class SpectralModel:
         return SpectralState(self.semigroup_factors(t) * state.coeffs, state.alpha)
 
     def smoothing_constant(self, sigma: float, lam: float) -> float:
-        """Least per-mode constant with |S_t x|_(a+sigma) <= C exp(-lam t) t^-sigma |x|_a.
-
-        Equals sup_u u^sigma exp(-(1 - lam/mu_1) u); requires lam < mu_1.
-        """
-        if sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if sigma == 0.0:
-            return 1.0
-        mu1 = float(self.mu[0])
-        if lam >= mu1:
-            raise ValueError(f"decay rate {lam} must stay below mu_1 = {mu1}")
-        rate = 1.0 - lam / mu1
-        u = sigma / rate
-        return u ** sigma * math.exp(-sigma)
+        """smoothing_constant(sigma, lam, mu_1) of this model's bottom eigenvalue."""
+        return smoothing_constant(sigma, lam, float(self.mu[0]))
 
     # -- drift ----------------------------------------------------------
 

@@ -139,6 +139,19 @@ class TestPConstants:
             p1s.append(att.eval_p_constants(rp, cons, (0.0, 1.0)).p1)
         assert all(b <= a for a, b in zip(p1s, p1s[1:]))
 
+    def test_p_values_overflow_branches(self):
+        # log p_tilde = log(1e308) + 1.05 > 709: every constant overflows
+        assert att.p_values(1, 0.0, 0.0, 2, 1e308, 1.05) == (math.inf, math.inf, math.inf)
+        # n m_tilde + m_tilde > 709 with log p_tilde near 51: only P2 overflows
+        p_tilde, p1, p2 = att.p_values(700, 0.0, 0.0, 2, 1e-300, 1.05)
+        assert math.isfinite(p_tilde) and math.isfinite(p1)
+        assert p2 == math.inf
+
+    def test_window_blocks(self):
+        assert att.window_blocks(1.0, 0.5) == 2
+        assert att.window_blocks(1.0 + 1e-13, 0.5) == 2  # within the 1e-12 slack
+        assert att.window_blocks(0.1, 0.5) == 1
+
 
 class TestSolutionBound:
     def test_zero_noise_check(self):
@@ -168,6 +181,23 @@ class TestSolutionBound:
                     < 1.1 * att.check_solution_bound(model, t, r, smaller, i).lhs
                     for t, r, i in cases)
         assert fails > 0  # the calibrated value is tight up to bisection slack
+
+    @pytest.mark.parametrize("y_scale", [0.0, 0.25])
+    def test_calibration_accepts_overflowing_window(self, y_scale):
+        # a steep line makes every one of 1024 cells a greedy step, so
+        # n m_tilde > 709 and P1, P2 overflow at every m_big of the bracket;
+        # rhs is inf (nan when |y_s| = 0) and the window never counts as a miss
+        model = desk_model(c_g=5e-4)
+        cons = desk_constants(model, m_big=1.0)
+        cases = []
+        for seed in range(5):
+            rp = scaled_lift(seed, 1.0, 0.0, scale=0.02)
+            cases.append((solver.solve_mild(model, np.ones(16) / 4.0, rp), rp, (0.0, 1.0)))
+        steep = rpm.lift_piecewise_linear(8.0 * np.arange(1025) / 1024, 0.0, 1.0 / 1024, gamma=0.49)
+        traj = solver.solve_mild(model, np.full(16, y_scale), steep)
+        assert att.eval_p_constants(steep, cons, (0.0, 1.0)).n_greedy == 1024
+        cal = att.calibrate_m_big(model, cases + [(traj, steep, (0.0, 1.0))], cons, margin=0.1)
+        assert cal.m_big == att.calibrate_m_big(model, cases, cons, margin=0.1).m_big
 
 
 class TestApriori:

@@ -1,8 +1,8 @@
 """Experiment runner: configs, outputs, exit codes, determinism."""
 
-import os
+import dataclasses
+import hashlib
 
-import numpy as np
 import pytest
 
 from rpde_lab import cli, roughpath
@@ -63,13 +63,46 @@ class TestExitCodes:
         cfg.write_text("seeds = 1\n")
         assert run(["--config", str(cfg)]) == 2
 
-    def test_numerics_exit_code(self, tmp_path):
+    def test_numerics_exit_code(self, tmp_path, capsys):
         # unscaled rough noise at a large moment order trips the overflow guard
         cfg = tmp_path / "erg.txt"
         cfg.write_text("command = ergodic\nnoise_scale = 1.0\nhurst = 0.45\n"
                        "q_moment = 240\nseeds = 1,2,3,4\nhorizon = 4.0\n"
                        f"out = {tmp_path / 'o'}\n")
         assert run(["--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "max_safe_q=" in err and "obs_max=" in err
+
+    def test_unknown_key(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.txt"
+        cfg.write_text(f"command = lift\nhorizn = 8\nout = {tmp_path / 'o'}\n")
+        assert run(["--config", str(cfg)]) == 2
+        assert "horizn" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line,env,key", [
+        ("", "abc", cli.SEED_ENV),
+        ("steps_per_unit = 0", None, "steps_per_unit"),
+        ("hurst = 0.2", None, "hurst"),
+        ("trunc_k = 1", None, "trunc_k"),
+        ("t_list = 1,x", None, "t_list"),
+        ("t_list = 0,1", None, "t_list"),
+        ("eps_points = 0", None, "eps_points"),
+        ("cloud_points = 0", None, "cloud_points"),
+        ("q_moment = 0.5", None, "q_moment"),
+        ("train_seeds = 0", None, "train_seeds"),
+    ], ids=["seed_offset", "steps_per_unit", "hurst", "trunc_k", "t_list_parse",
+            "t_list_range", "eps_points", "cloud_points", "q_moment", "train_seeds"])
+    def test_bad_value(self, tmp_path, monkeypatch, capsys, line, env, key):
+        if env is not None:
+            monkeypatch.setenv(cli.SEED_ENV, env)
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"command = absorb\n{line}\nout = {tmp_path / 'o'}\n")
+        assert run(["--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_bad_seed_list_option(self, tmp_path):
+        assert run(["lift", "--seeds", "1,x", "--out", str(tmp_path / "o")]) == 2
 
 
 class TestDeterminism:
@@ -98,6 +131,17 @@ class TestDeterminism:
         assert run(["lift", "--seeds", "11", "--out", str(out2)]) == 0
         a = (out1 / "path_seed11.csv").read_bytes()
         assert a == (out2 / "path_seed11.csv").read_bytes()
+
+    def test_manifest_replay_ignores_seed_offset(self, tmp_path, monkeypatch):
+        # the manifest records the seeds that ran; replaying it must not shift them again
+        out1 = tmp_path / "a"
+        out2 = tmp_path / "b"
+        monkeypatch.setenv(cli.SEED_ENV, "5")
+        assert run(["lift", "--seeds", "1", "--out", str(out1)]) == 0
+        assert (out1 / "path_seed6.csv").exists()
+        assert run(["--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
+        assert sorted(p.name for p in out2.glob("*.csv")) == ["path_seed6.csv"]
+        assert (out1 / "path_seed6.csv").read_bytes() == (out2 / "path_seed6.csv").read_bytes()
 
     @pytest.mark.parametrize("jobs,items,cpus,expect", [
         (8, 5, 2, 2),      # more jobs than CPUs
@@ -133,6 +177,20 @@ class TestDeterminism:
         pairs = load_kv_file(str(out / "manifest.txt"))
         for key in ("config_hash", "package_version", "numpy_version", "wall_time_s"):
             assert key in pairs
+
+    def test_manifest_keys_follow_field_order(self, tmp_path):
+        # the settings come first, in dataclass field order, and config_hash
+        # is the digest of exactly those lines
+        out = tmp_path / "m"
+        assert run(["lift", "--seeds", "1,2", "--out", str(out)]) == 0
+        lines = (out / "manifest.txt").read_text().splitlines(keepends=True)
+        keys = [line.split(" = ", 1)[0] for line in lines]
+        names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)
+                 if f.name != "config_path"]
+        assert keys[:len(names)] == names
+        assert keys[len(names)] == "config_hash"
+        digest = hashlib.sha256("".join(lines[:len(names)]).encode()).hexdigest()
+        assert lines[len(names)] == f"config_hash = {digest}\n"
 
 
 class TestPipelines:

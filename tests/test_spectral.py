@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rpde_lab.errors import ConfigError
-from rpde_lab.spectral import IntegralKernel, SpectralModel, model_from_config
+from rpde_lab.spectral import IntegralKernel, SpectralModel, model_from_config, smoothing_constant
 
 
 @pytest.fixture
@@ -88,6 +88,16 @@ class TestSemigroup:
             worst = max(worst, float(vals.max()))
         assert worst <= cons * (1.0 + 1e-9)
         assert cons <= worst * (1.0 + 1e-3)  # attained at the bottom mode
+
+    def test_smoothing_constant_function(self, model):
+        # the method is the module function at the bottom eigenvalue
+        mu1 = float(model.mu[0])
+        assert model.smoothing_constant(0.5, 1.0) == smoothing_constant(0.5, 1.0, mu1)
+        assert smoothing_constant(0.0, 2.0 * mu1, mu1) == 1.0
+        with pytest.raises(ConfigError):
+            smoothing_constant(0.5, mu1, mu1)
+        with pytest.raises(ConfigError):
+            smoothing_constant(-0.1, 1.0, mu1)
 
     def test_smoothing_bounds_semigroup(self, model):
         sigma, lam = 0.5, 1.0
