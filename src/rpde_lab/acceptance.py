@@ -77,7 +77,7 @@ def criterion_1() -> CriterionResult:
     for seed in range(5):
         rp = sample_lift(noise, seed, 1.0, 0.0, 0.4)
         raw, xx = rp.x_raw, rp.xx
-        mat = roughpath._second_level_matrix(raw, xx)
+        mat = roughpath._second_level_block(raw, xx)  # read only where i < j
         for u in range(1, n):
             left = mat[:u, u]
             right = mat[u, u + 1:]
@@ -146,8 +146,8 @@ def criterion_2() -> CriterionResult:
         w_full = greedy.control_w(rp, eta, 0.0, 1.0)
         n_steps = greedy.count_in_window(rp, eta, chi, 0.0, 1.0)
         count_ok &= n_steps <= w_full * chi ** (-1.0 / (gamma - eta)) + 1.0
-        sx = roughpath.holder_seminorm(rp, "first")
-        sxx = roughpath.holder_seminorm(rp, "second")
+        rep = roughpath.holder_seminorm(rp)
+        sx, sxx = rep.seminorm_x, rep.seminorm_xx
         count_ok &= w_full <= 1.0 * (sx ** (1.0 / (gamma - eta)) + sxx ** (0.5 / (gamma - eta))) + 1e-12
         mat = greedy.control_w_all_pairs(rp, eta)
         for u in range(1, 64):

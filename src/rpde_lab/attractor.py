@@ -329,8 +329,8 @@ def eval_p_constants(rp: GridRoughPath, constants: BoundConstants, interval) -> 
     if length > 1.0 + 1e-9:
         raise ValueError("solution-bound windows are limited to length one")
     n = count_in_window(rp, constants.eta, constants.chi, s, t)
-    sx = holder_seminorm(rp, "first", (s, t))
-    sxx = holder_seminorm(rp, "second", (s, t))
+    rep = holder_seminorm(rp, (s, t))
+    sx, sxx = rep.seminorm_x, rep.seminorm_xx
     n_tilde = window_blocks(length, constants.d_step)
     p_tilde, p1, p2 = p_values(n, sx, sxx, n_tilde, constants.m_big, constants.m_tilde)
     return PConstants(p_tilde, p1, p2, n, sx, sxx, n_tilde, (s, t))
@@ -379,8 +379,8 @@ def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
     for traj, rp, interval in cases:
         lhs = controlled_norm(model, traj, rp, interval).total
         n = count_in_window(rp, constants.eta, constants.chi, *interval)
-        sx = holder_seminorm(rp, "first", interval)
-        sxx = holder_seminorm(rp, "second", interval)
+        rep = holder_seminorm(rp, interval)
+        sx, sxx = rep.seminorm_x, rep.seminorm_xx
         ynorm = model.frac_norm(traj.y[_traj_index(traj, interval[0])], model.alpha)
         n_tilde = window_blocks(interval[1] - interval[0], constants.d_step)
         data.append((lhs, n, sx, sxx, ynorm, n_tilde))
@@ -417,10 +417,9 @@ def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
 def window_p3(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
               interval) -> float:
     """P3 = rho^2 (1 + |y,y'|_D) on one unit window."""
-    sx = holder_seminorm(rp, "first", interval)
-    sxx = holder_seminorm(rp, "second", interval)
+    rho = holder_seminorm(rp, interval).rho
     total = controlled_norm(model, traj, rp, interval).total
-    return (sx + sxx) ** 2 * (1.0 + total)
+    return rho ** 2 * (1.0 + total)
 
 
 def apriori_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
@@ -547,8 +546,8 @@ def ergodic_moments(samples, q: float) -> ErgodicReport:
     for rp in samples:
         sx_list, sxx_list = [], []
         for window in _unit_windows(rp):
-            sx = holder_seminorm(rp, "first", window)
-            sxx = holder_seminorm(rp, "second", window)
+            rep = holder_seminorm(rp, window)
+            sx, sxx = rep.seminorm_x, rep.seminorm_xx
             obs_max = max(obs_max, sx, sxx)
             sx_list.append(sx)
             sxx_list.append(sxx)

@@ -179,6 +179,9 @@ def sample_lift(cfg: ExperimentConfig, seed: int, span: float, t_start: float,
                 gamma: float) -> roughpath.GridRoughPath:
     """Lift of the seeded fBm noise of cfg (hurst, steps_per_unit, noise_scale)."""
     n = int(round(span * cfg.steps_per_unit))
+    if n < 2:
+        raise ConfigError(f"config key steps_per_unit: {cfg.steps_per_unit!r} steps per unit "
+                          f"give {n} cell(s) on a span of {span!r}; a lift needs at least 2")
     values = cfg.noise_scale * roughpath.sample_fbm(cfg.hurst, n, seed, horizon=span)
     return roughpath.lift_piecewise_linear(values, t_start, span / n, gamma=gamma)
 
@@ -243,8 +246,8 @@ def _cmd_lift(cfg: ExperimentConfig) -> None:
     for seed in cfg.seeds:
         rp = sample_lift(cfg, seed, cfg.horizon, 0.0, cons.gamma)
         roughpath.save_csv(rp, os.path.join(out, f"path_seed{seed}.csv"))
-        rep = roughpath.holder_report(rp)
         if cfg.verbose:
+            rep = roughpath.holder_seminorm(rp)
             print(f"seed {seed}: [X] = {rep.seminorm_x:.6g}  [XX] = {rep.seminorm_xx:.6g}")
 
 
@@ -334,7 +337,14 @@ def _apriori_time(horizon: float) -> float:
     return max(float(int(horizon) - 1), 1.0)
 
 
+def _require_unit_horizon(cfg: ExperimentConfig) -> None:
+    if cfg.horizon < 1.0:
+        raise ConfigError(f"config key horizon must be at least 1 for {cfg.command}, "
+                          f"got {cfg.horizon!r}")
+
+
 def _cmd_bounds(cfg: ExperimentConfig) -> None:
+    _require_unit_horizon(cfg)
     out = _ensure_out(cfg)
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
@@ -357,6 +367,7 @@ def _cmd_bounds(cfg: ExperimentConfig) -> None:
 
 
 def _cmd_ergodic(cfg: ExperimentConfig) -> None:
+    _require_unit_horizon(cfg)
     out = _ensure_out(cfg)
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)

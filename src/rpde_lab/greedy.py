@@ -9,16 +9,16 @@ is the supremum over partitions s = k_0 < ... < k_n = t of
 Restricted to grid partitions this supremum is computed exactly by a dynamic
 program over the grid points of the window, dp[k] = max_{i<k} dp[i] + cost[i, k]
 with cost the one-segment term above. One kernel, _control_dp, serves W, the
-greedy scan and the all-pairs matrix. It builds the costs of _BLOCK columns at
+greedy scan and the all-pairs matrix. It builds the costs of BLOCK columns at
 a time, from second-level prefix sums accumulated from the window start, and
-advances dp column by column: O(n^2) time for W over n cells, O(n * _BLOCK)
+advances dp column by column: O(n^2) time for W over n cells, O(n * BLOCK)
 memory, and no n x n matrix at any point.
 
 Greedy times chop an interval into maximal steps whose control, raised to
 gamma - eta, stays below the threshold chi; N counts the steps. W is
 superadditive, so it is monotone in the right endpoint: each greedy step scans
 from its start and stops at the first column past the threshold, so the whole
-scan costs O(n * (longest step + _BLOCK)) time.
+scan costs O(n * (longest step + BLOCK)) time.
 """
 
 from __future__ import annotations
@@ -29,11 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
-from .roughpath import GridRoughPath, _second_level_block
-
-# columns of one-segment costs built per block of the DP scan; the 32-cell
-# unit windows of the absorbing-radius pipeline fit in one block
-_BLOCK = 64
+from .roughpath import BLOCK, GridRoughPath, _second_level_block
 
 
 class GreedyPartition:
@@ -82,8 +78,8 @@ def _cost_block(raw: np.ndarray, xx: np.ndarray, k0: int, dt: float, eta: float,
 def _control_dp(rp: GridRoughPath, eta: float, i0: int, i1: int, limit: float):
     """W over [t_i0, t_i0+k] for k = 0, 1, ... by dynamic programming.
 
-    dp[k] = max_{i<k} dp[i] + cost[i, k], with the costs built _BLOCK columns
-    at a time, so memory is O((i1 - i0) * _BLOCK). Within a block, the paths
+    dp[k] = max_{i<k} dp[i] + cost[i, k], with the costs built BLOCK columns
+    at a time, so memory is O((i1 - i0) * BLOCK). Within a block, the paths
     whose last cut lies before the block are maximized in one pass; each new
     column then raises the later columns of the block. A maximum does not
     round, so dp equals the column-by-column recursion bit for bit. The scan
@@ -100,7 +96,7 @@ def _control_dp(rp: GridRoughPath, eta: float, i0: int, i1: int, limit: float):
     dp[0] = 0.0
     k0 = 1
     while k0 <= m:
-        k1 = min(k0 + _BLOCK, m + 1)
+        k1 = min(k0 + BLOCK, m + 1)
         cost = _cost_block(raw[:k1], xx[:k1 - 1], k0, rp.dt, eta, g)
         cost[:k0] += dp[:k0, None]
         best = cost[:k0].max(axis=0)

@@ -20,11 +20,18 @@ the second level.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
 
 _GRID_RTOL = 1e-9
+# columns of pair values built per block by the window kernels (the pair
+# suprema here and the greedy DP); the 32-cell unit windows of the
+# absorbing-radius pipeline fit in one block
+BLOCK = 64
 
 
 class GridRoughPath:
@@ -224,7 +231,7 @@ def sample_fbm(hurst: float, n_steps: int, seed: int, horizon: float = 1.0) -> n
 
 def _window_arrays(rp: GridRoughPath, interval=None):
     i, j = rp.interval_slice(interval)
-    return rp.x_raw[i:j + 1], rp.xx[i:j], i, j
+    return rp.x_raw[i:j + 1], rp.xx[i:j]
 
 
 def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndarray:
@@ -243,48 +250,48 @@ def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndar
         - raw[:, None] * (raw[None, c0:] - raw[:, None])
 
 
-def _second_level_matrix(raw: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """All-pairs second level of the window; entries with j <= i are zero.
+def _pair_sups(values, m: int, dt: float, exponents) -> list[float]:
+    """Sup over grid pairs 0 <= i < j <= m of value[i, j] / ((j - i) * dt) ** p.
 
-    O(m^2) memory: used by the Hoelder seminorm, the rough metric and the
-    Chen-relation check on desk-sized windows. The greedy scan and the
-    control W build column blocks through _second_level_block instead.
+    values(c0, c1) returns one array of nonnegative pair values per exponent,
+    over the rows i = 0, ..., c1 - 1 and the columns j = c0, ..., c1 - 1;
+    entries with j <= i are ignored. The columns are walked BLOCK at a time,
+    so memory is O(m * BLOCK) and no m x m array is built. Each lag weight is
+    evaluated once, by Python's scalar pow, and read through a Toeplitz view
+    that holds inf where j <= i. A correctly rounded division is monotone, so
+    the largest value / weight of a lag is the lag's largest value over its
+    weight: the result equals the lag-by-lag supremum bit for bit.
     """
-    mat = _second_level_block(raw, xx)
-    return np.triu(mat, k=1) if raw.size >= 2 else mat
+    # tables[k][m - 1 + lag] is the weight of the lag, for lag = 1 - m, ..., m
+    tables = [np.array([math.inf] * m + [(lag * dt) ** p for lag in range(1, m + 1)])
+              for p in exponents]
+    best = [0.0] * len(tables)
+    c0 = 1
+    with np.errstate(invalid="ignore"):  # inf / inf = nan on an ignored entry; fmax skips it
+        while c0 <= m:
+            c1 = min(c0 + BLOCK, m + 1)
+            for k, vals in enumerate(values(c0, c1)):
+                weight = sliding_window_view(tables[k][m + c0 - c1:m + c1 - 1], c1 - c0)[::-1]
+                best[k] = float(np.fmax.reduce(vals / weight, axis=None, initial=best[k]))
+            c0 = c1
+    return best
 
 
-def holder_seminorm(rp: GridRoughPath, level, interval=None) -> float:
-    """Grid-restricted Hoelder seminorm of one level over the interval.
+def holder_seminorm(rp: GridRoughPath, interval=None) -> HolderReport:
+    """Grid-restricted Hoelder seminorms of both levels over the interval.
 
-    level "first": sup |X[s,t]| / (t-s)^gamma over grid pairs; level "second"
-    uses the Chen-reconstructed XX and exponent 2*gamma. Empty interval -> 0.
+    [X]_gamma is the sup of |X[s,t]| / (t-s)^gamma over grid pairs, and
+    [XX]_2gamma the sup of the Chen-reconstructed |XX[s,t]| / (t-s)^(2 gamma).
+    The interval defaults to the whole grid; an empty one gives zeros.
     """
-    raw, xx, _, _ = _window_arrays(rp, interval)
-    m = raw.size - 1
-    if m == 0:
-        return 0.0
-    if level in (1, "first", "x"):
-        best = 0.0
-        for lag in range(1, m + 1):
-            num = np.max(np.abs(raw[lag:] - raw[:-lag]))
-            best = max(best, num / (lag * rp.dt) ** rp.gamma)
-        return float(best)
-    if level in (2, "second", "xx"):
-        mat = _second_level_matrix(raw, xx)
-        best = 0.0
-        for lag in range(1, m + 1):
-            num = np.max(np.abs(np.diagonal(mat, offset=lag)))
-            best = max(best, num / (lag * rp.dt) ** (2.0 * rp.gamma))
-        return float(best)
-    raise ValueError(f"level must be 'first' or 'second', got {level!r}")
+    raw, xx = _window_arrays(rp, interval)
 
+    def values(c0, c1):
+        return (np.abs(raw[c0:c1] - raw[:c1, None]),
+                np.abs(_second_level_block(raw[:c1], xx[:c1 - 1], c0)))
 
-def holder_report(rp: GridRoughPath, interval=None) -> HolderReport:
-    if interval is None:
-        interval = (rp.t0, rp.end_time)
-    return HolderReport(holder_seminorm(rp, "first", interval),
-                        holder_seminorm(rp, "second", interval), interval)
+    sx, sxx = _pair_sups(values, raw.size - 1, rp.dt, (rp.gamma, 2.0 * rp.gamma))
+    return HolderReport(sx, sxx, (rp.t0, rp.end_time) if interval is None else interval)
 
 
 def rough_metric(a: GridRoughPath, b: GridRoughPath, interval=None) -> float:
@@ -298,19 +305,17 @@ def rough_metric(a: GridRoughPath, b: GridRoughPath, interval=None) -> float:
         raise ValueError("paths must share the same grid")
     if a.gamma != b.gamma:
         raise ValueError("paths must share the same Hoelder exponent")
-    raw_a, xx_a, _, _ = _window_arrays(a, interval)
-    raw_b, xx_b, _, _ = _window_arrays(b, interval)
-    m = raw_a.size - 1
-    if m == 0:
-        return 0.0
+    raw_a, xx_a = _window_arrays(a, interval)
+    raw_b, xx_b = _window_arrays(b, interval)
     diff1 = (raw_a - raw_a[0]) - (raw_b - raw_b[0])
-    mat = _second_level_matrix(raw_a, xx_a) - _second_level_matrix(raw_b, xx_b)
-    best1 = 0.0
-    best2 = 0.0
-    for lag in range(1, m + 1):
-        best1 = max(best1, np.max(np.abs(diff1[lag:] - diff1[:-lag])) / (lag * a.dt) ** a.gamma)
-        best2 = max(best2, np.max(np.abs(np.diagonal(mat, offset=lag))) / (lag * a.dt) ** (2.0 * a.gamma))
-    return float(best1 + best2)
+
+    def values(c0, c1):
+        return (np.abs(diff1[c0:c1] - diff1[:c1, None]),
+                np.abs(_second_level_block(raw_a[:c1], xx_a[:c1 - 1], c0)
+                       - _second_level_block(raw_b[:c1], xx_b[:c1 - 1], c0)))
+
+    best1, best2 = _pair_sups(values, raw_a.size - 1, a.dt, (a.gamma, 2.0 * a.gamma))
+    return best1 + best2
 
 
 def zero_path_like(rp: GridRoughPath) -> GridRoughPath:

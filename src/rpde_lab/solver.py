@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .roughpath import GridRoughPath
+from .roughpath import BLOCK, GridRoughPath, _pair_sups
 from .spectral import SpectralModel, SpectralState
 
 
@@ -157,20 +157,17 @@ def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
     return ControlledPath(times, y, yp, rp.gamma)
 
 
-def _norm_pairs(model: SpectralModel, rows: np.ndarray, alpha: float) -> np.ndarray:
-    return model.frac_norm_rows(rows, alpha)
-
-
 def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPath,
-                    interval=None) -> ControlledNorm:
+                    interval=None, alpha: float | None = None) -> ControlledNorm:
     """Grid-restricted controlled-path norm of a trajectory on an interval.
 
     The five contributions are measured in the spaces of the defining norm:
     sup |y|_alpha, sup |y'|_(alpha-gamma), the gamma-Hoelder seminorm of y' in
     alpha-2gamma, and the gamma / 2gamma seminorms of the remainder in
-    alpha-gamma / alpha-2gamma.
+    alpha-gamma / alpha-2gamma. alpha defaults to the model's base space.
     """
-    alpha = model.alpha
+    if alpha is None:
+        alpha = model.alpha
     gamma = path.gamma
     if interval is None:
         lo, hi = 0, path.times.size - 1
@@ -187,20 +184,25 @@ def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPat
     raw_idx = base + stride * np.arange(hi - lo + 1)
     xvals = rp.x_raw[raw_idx]
 
-    sup_y = float(np.max(_norm_pairs(model, y, alpha)))
-    sup_yp = float(np.max(_norm_pairs(model, yp, alpha - gamma)))
-    m = y.shape[0] - 1
-    hol_yp = 0.0
-    rem_g = 0.0
-    rem_2g = 0.0
-    for lag in range(1, m + 1):
-        span = (lag * path.dt) ** gamma
-        span2 = (lag * path.dt) ** (2.0 * gamma)
-        dyp = yp[lag:] - yp[:-lag]
-        hol_yp = max(hol_yp, float(np.max(_norm_pairs(model, dyp, alpha - 2.0 * gamma))) / span)
-        rem = y[lag:] - y[:-lag] - yp[:-lag] * (xvals[lag:] - xvals[:-lag])[:, None]
-        rem_g = max(rem_g, float(np.max(_norm_pairs(model, rem, alpha - gamma))) / span)
-        rem_2g = max(rem_2g, float(np.max(_norm_pairs(model, rem, alpha - 2.0 * gamma))) / span2)
+    sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
+    sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
+
+    def values(c0, c1):
+        # (rows, cols, modes) pair blocks of y'_j - y'_i and of the remainder
+        # y_j - y_i - y'_i X[i, j], BLOCK rows at a time to bound the memory
+        out = np.empty((3, c1, c1 - c0))
+        for r0 in range(0, c1, BLOCK):
+            r1 = min(r0 + BLOCK, c1)
+            out[0, r0:r1] = model.frac_norm_rows(yp[None, c0:c1] - yp[r0:r1, None],
+                                                 alpha - 2.0 * gamma)
+            rem = y[None, c0:c1] - y[r0:r1, None]
+            rem -= yp[r0:r1, None] * (xvals[c0:c1] - xvals[r0:r1, None])[:, :, None]
+            out[1, r0:r1] = model.frac_norm_rows(rem, alpha - gamma)
+            out[2, r0:r1] = model.frac_norm_rows(rem, alpha - 2.0 * gamma)
+        return out
+
+    hol_yp, rem_g, rem_2g = _pair_sups(values, y.shape[0] - 1, path.dt,
+                                       (gamma, gamma, 2.0 * gamma))
     return ControlledNorm(sup_y, sup_yp, hol_yp, rem_g, rem_2g)
 
 
@@ -221,18 +223,4 @@ def composition_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPa
                      interval=None) -> ControlledNorm:
     """Controlled norm of (G(y), (G(y))') measured one sigma_g lower in space."""
     pair = composition_pair(model, path)
-    shifted = _AlphaShiftedModel(model, -model.sigma_g)
-    return controlled_norm(shifted, pair, rp, interval)
-
-
-class _AlphaShiftedModel:
-    """Lightweight view of a model with the base space index shifted."""
-
-    def __init__(self, model: SpectralModel, shift: float):
-        self._model = model
-        self.alpha = model.alpha + shift
-        self.mu = model.mu
-        self.n_modes = model.n_modes
-
-    def frac_norm_rows(self, rows: np.ndarray, alpha: float) -> np.ndarray:
-        return self._model.frac_norm_rows(rows, alpha)
+    return controlled_norm(model, pair, rp, interval, alpha=model.alpha - model.sigma_g)

@@ -13,6 +13,28 @@ def run(args):
     return cli.main(args)
 
 
+# small configs of the pool commands (seeds, sizes); bounds also gets a model
+SMALL = {
+    "solve": "seeds = 5,6\n",
+    "absorb": "seeds = 1,2\ntrunc_k = 4\neps_points = 5\n",
+    "pullback": "seeds = 1\ntrunc_k = 3\neps_points = 5\nt_list = 1,2\ncloud_points = 2\n",
+    "bounds": "seeds = 50,51,52\ntrain_seeds = 12\nhorizon = 4.0\nsteps_per_unit = 64\n",
+}
+
+
+def small_config(tmp_path, command):
+    cfg = tmp_path / f"{command}.txt"
+    text = f"command = {command}\n{SMALL[command]}"
+    if command == "bounds":
+        model = tmp_path / "model.txt"
+        write_kv_file(str(model), {"n_modes": 8, "lambda_a": 4.0, "alpha": 0.0,
+                                   "sigma_f": 0.25, "sigma_g": 0.0, "c_f": 0.5,
+                                   "c_g": 0.0005, "g_kind": "linear"})
+        text += f"model = {model}\n"
+    cfg.write_text(text)
+    return cfg
+
+
 class TestBasics:
     def test_lift_writes_paths(self, tmp_path):
         out = tmp_path / "lift"
@@ -80,24 +102,31 @@ class TestExitCodes:
         assert "horizn" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("line,env,key", [
-        ("", "abc", cli.SEED_ENV),
-        ("steps_per_unit = 0", None, "steps_per_unit"),
-        ("hurst = 0.2", None, "hurst"),
-        ("trunc_k = 1", None, "trunc_k"),
-        ("t_list = 1,x", None, "t_list"),
-        ("t_list = 0,1", None, "t_list"),
-        ("eps_points = 0", None, "eps_points"),
-        ("cloud_points = 0", None, "cloud_points"),
-        ("q_moment = 0.5", None, "q_moment"),
-        ("train_seeds = 0", None, "train_seeds"),
+    @pytest.mark.parametrize("command,line,env,key", [
+        ("absorb", "", "abc", cli.SEED_ENV),
+        ("absorb", "steps_per_unit = 0", None, "steps_per_unit"),
+        ("absorb", "hurst = 0.2", None, "hurst"),
+        ("absorb", "trunc_k = 1", None, "trunc_k"),
+        ("absorb", "t_list = 1,x", None, "t_list"),
+        ("absorb", "t_list = 0,1", None, "t_list"),
+        ("absorb", "eps_points = 0", None, "eps_points"),
+        ("absorb", "cloud_points = 0", None, "cloud_points"),
+        ("absorb", "q_moment = 0.5", None, "q_moment"),
+        ("absorb", "train_seeds = 0", None, "train_seeds"),
+        # spans too short for the command: one cell, or less than a unit window
+        ("lift", "steps_per_unit = 1\nhorizon = 1.0", None, "steps_per_unit"),
+        ("solve", "steps_per_unit = 1\nhorizon = 1.0", None, "steps_per_unit"),
+        ("ergodic", "horizon = 0.5", None, "horizon"),
+        ("bounds", "horizon = 0.5", None, "horizon"),
     ], ids=["seed_offset", "steps_per_unit", "hurst", "trunc_k", "t_list_parse",
-            "t_list_range", "eps_points", "cloud_points", "q_moment", "train_seeds"])
-    def test_bad_value(self, tmp_path, monkeypatch, capsys, line, env, key):
+            "t_list_range", "eps_points", "cloud_points", "q_moment", "train_seeds",
+            "lift_one_cell", "solve_one_cell", "ergodic_short_horizon",
+            "bounds_short_horizon"])
+    def test_bad_value(self, tmp_path, monkeypatch, capsys, command, line, env, key):
         if env is not None:
             monkeypatch.setenv(cli.SEED_ENV, env)
         cfg = tmp_path / "bad.txt"
-        cfg.write_text(f"command = absorb\n{line}\nout = {tmp_path / 'o'}\n")
+        cfg.write_text(f"command = {command}\n{line}\nout = {tmp_path / 'o'}\n")
         assert run(["--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
@@ -106,13 +135,21 @@ class TestExitCodes:
 
 
 class TestDeterminism:
-    def test_solve_replay_and_jobs(self, tmp_path):
-        out1 = tmp_path / "a"
-        out2 = tmp_path / "b"
-        assert run(["solve", "--seeds", "5,6", "--jobs", "1", "--out", str(out1)]) == 0
-        assert run(["solve", "--seeds", "5,6", "--jobs", "2", "--out", str(out2)]) == 0
-        for name in ("trajectory_seed5.csv", "trajectory_seed6.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    @pytest.mark.parametrize("command", sorted(SMALL))
+    def test_replay_and_jobs(self, tmp_path, command):
+        # every command that runs seeds on the worker pool writes the same
+        # bytes with one worker, with two, and when its manifest is replayed
+        cfg = small_config(tmp_path, command)
+        one, two, replay = tmp_path / "one", tmp_path / "two", tmp_path / "replay"
+        assert run(["--config", str(cfg), "--jobs", "1", "--out", str(one)]) == 0
+        assert run(["--config", str(cfg), "--jobs", "2", "--out", str(two)]) == 0
+        assert run(["--config", str(one / "manifest.txt"), "--out", str(replay)]) == 0
+        names = sorted(p.name for p in one.glob("*.csv"))
+        assert names
+        for out in (two, replay):
+            assert sorted(p.name for p in out.glob("*.csv")) == names
+            for name in names:
+                assert (out / name).read_bytes() == (one / name).read_bytes()
 
     def test_manifest_replay(self, tmp_path):
         out1 = tmp_path / "a"
@@ -195,15 +232,8 @@ class TestDeterminism:
 
 class TestPipelines:
     def test_bounds_pipeline_small(self, tmp_path):
-        cfg = tmp_path / "bounds.txt"
-        model = tmp_path / "model.txt"
-        write_kv_file(str(model), {"n_modes": 8, "lambda_a": 4.0, "alpha": 0.0,
-                                   "sigma_f": 0.25, "sigma_g": 0.0, "c_f": 0.5,
-                                   "c_g": 0.0005, "g_kind": "linear"})
-        cfg.write_text(f"command = bounds\nmodel = {model}\nseeds = 50,51,52\n"
-                       f"train_seeds = 12\nhorizon = 4.0\nsteps_per_unit = 64\n"
-                       f"out = {tmp_path / 'o'}\n")
-        assert run(["--config", str(cfg)]) == 0
+        cfg = small_config(tmp_path, "bounds")
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         rows = (tmp_path / "o" / "bounds.csv").read_text().splitlines()
         assert rows[0] == "seed,interval,kind,lhs,rhs,passed"
         assert all(line.endswith(",1") for line in rows[1:])
@@ -213,20 +243,15 @@ class TestPipelines:
         assert provs <= {"primitive", "derived", "calibrated"}
 
     def test_absorb_small(self, tmp_path):
-        cfg = tmp_path / "absorb.txt"
-        cfg.write_text(f"command = absorb\nseeds = 1,2\ntrunc_k = 4\n"
-                       f"eps_points = 5\nout = {tmp_path / 'o'}\n")
-        assert run(["--config", str(cfg)]) == 0
+        cfg = small_config(tmp_path, "absorb")
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         lines = (tmp_path / "o" / "absorb.csv").read_text().splitlines()
         assert lines[0].startswith("seed,radius")
         assert len(lines) == 3
 
     def test_pullback_small(self, tmp_path):
-        cfg = tmp_path / "pull.txt"
-        cfg.write_text(f"command = pullback\nseeds = 1\ntrunc_k = 3\n"
-                       f"eps_points = 5\nt_list = 1,2\ncloud_points = 2\n"
-                       f"out = {tmp_path / 'o'}\n")
-        assert run(["--config", str(cfg)]) == 0
+        cfg = small_config(tmp_path, "pullback")
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         lines = (tmp_path / "o" / "pullback.csv").read_text().splitlines()
         assert lines[0] == "seed,t,diameter,semidistance,radius,accepted"
         assert len(lines) == 3

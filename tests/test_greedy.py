@@ -75,8 +75,8 @@ class TestControl:
         # W <= (t-s) ([X]^(1/(g-e)) + [XX]^(1/(2(g-e)))) over the unit window
         rp = fbm_lift(seed)
         w = greedy.control_w(rp, ETA, 0.0, 1.0)
-        sx = rpm.holder_seminorm(rp, "first")
-        sxx = rpm.holder_seminorm(rp, "second")
+        rep = rpm.holder_seminorm(rp)
+        sx, sxx = rep.seminorm_x, rep.seminorm_xx
         g = GAMMA - ETA
         assert w <= sx ** (1 / g) + sxx ** (0.5 / g) + 1e-12
 
@@ -240,7 +240,7 @@ class TestBlockKernelMatchesDense:
     def test_steps_longer_than_a_block(self):
         rp = long_lift(4, 333, 0.4, scale=0.1)
         cuts = greedy._greedy_scan(rp, 0.1, 0.5, 0, 333)
-        assert max(np.diff(cuts)) > greedy._BLOCK
+        assert max(np.diff(cuts)) > rpm.BLOCK
         assert cuts == dense_scan(rp, 0.1, 0.5, 0, 333)
 
     @pytest.mark.parametrize("eta", [0.0, 0.1])

@@ -1,5 +1,7 @@
 """Lifts, fBm sampling, seminorms, metric, shifts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,31 +89,33 @@ class TestSeminorm:
     def test_linear_path_value(self):
         rp = lift_linear(64, gamma=0.4)
         # |t-s| / (t-s)^0.4 maximal at the full interval
-        assert rpm.holder_seminorm(rp, "first") == pytest.approx(1.0, abs=1e-12)
+        assert rpm.holder_seminorm(rp).seminorm_x == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_path(self):
         rp = rpm.lift_piecewise_linear(np.zeros(17), 0.0, 1 / 16, gamma=0.4)
-        assert rpm.holder_seminorm(rp, "first") == 0.0
-        assert rpm.holder_seminorm(rp, "second") == 0.0
+        rep = rpm.holder_seminorm(rp)
+        assert rep.seminorm_x == 0.0
+        assert rep.seminorm_xx == 0.0
 
     def test_empty_interval(self):
         rp = lift_linear(8)
-        assert rpm.holder_seminorm(rp, "first", (0.25, 0.25)) == 0.0
+        assert rpm.holder_seminorm(rp, (0.25, 0.25)).seminorm_x == 0.0
 
     def test_refinement_monotonicity(self):
         xs = rpm.sample_fbm(0.5, 128, seed=2)
         fine = rpm.lift_piecewise_linear(xs, 0.0, 1 / 128, gamma=0.4)
         coarse = rpm.coarsen(fine, 2)
-        for level in ("first", "second"):
-            assert rpm.holder_seminorm(fine, level) >= rpm.holder_seminorm(coarse, level)
+        rf, rc = rpm.holder_seminorm(fine), rpm.holder_seminorm(coarse)
+        assert rf.seminorm_x >= rc.seminorm_x
+        assert rf.seminorm_xx >= rc.seminorm_xx
 
     def test_shift_equivariance_exact(self):
         xs = rpm.sample_fbm(0.45, 96, seed=9)
         rp = rpm.lift_piecewise_linear(xs, 0.0, 1 / 32, gamma=0.4)
         sh = rpm.shift(rp, 0.5)
-        for level in ("first", "second"):
-            assert rpm.holder_seminorm(sh, level, (0.0, 1.0)) == \
-                rpm.holder_seminorm(rp, level, (0.5, 1.5))
+        a, b = rpm.holder_seminorm(sh, (0.0, 1.0)), rpm.holder_seminorm(rp, (0.5, 1.5))
+        assert a.seminorm_x == b.seminorm_x
+        assert a.seminorm_xx == b.seminorm_xx
 
 
 class TestChen:
@@ -148,7 +152,7 @@ class TestMetric:
         xs = rpm.sample_fbm(0.5, 64, seed=4)
         rp = rpm.lift_piecewise_linear(xs, 0.0, 1 / 64, gamma=0.4)
         rho = rpm.rough_metric(rp, rpm.zero_path_like(rp))
-        expected = rpm.holder_seminorm(rp, "first") + rpm.holder_seminorm(rp, "second")
+        expected = rpm.holder_seminorm(rp).rho
         assert rho == pytest.approx(expected, rel=1e-12)
 
     def test_symmetry(self):
@@ -187,6 +191,99 @@ class TestMetric:
             approx = rpm.lift_piecewise_linear(interp, 0.0, 1 / n_fine, gamma=0.35)
             dists.append(rpm.rough_metric(approx, fine))
         assert all(b < a for a, b in zip(dists, dists[1:]))
+
+
+# ---------------------------------------------------------------------------
+# reference: the lag-by-lag loops over dense pair matrices that the pair-sup
+# kernel replaced
+# ---------------------------------------------------------------------------
+
+def dense_second_level(raw, xx):
+    d = np.diff(raw)
+    xxc = np.concatenate([[0.0], np.cumsum(xx)])
+    a = np.concatenate([[0.0], np.cumsum(raw[:-1] * d)])
+    mat = (xxc[None, :] - xxc[:, None]) + (a[None, :] - a[:, None]) \
+        - raw[:, None] * (raw[None, :] - raw[:, None])
+    return np.triu(mat, k=1)
+
+
+def lag_loop(lag_values, m, dt, p):
+    best = 0.0
+    for lag in range(1, m + 1):
+        best = max(best, np.max(lag_values(lag)) / (lag * dt) ** p)
+    return float(best)
+
+
+def ref_holder(rp, interval=None):
+    i, j = rp.interval_slice(interval)
+    raw, xx = rp.x_raw[i:j + 1], rp.xx[i:j]
+    m = raw.size - 1
+    mat = dense_second_level(raw, xx)
+    return (lag_loop(lambda lag: np.abs(raw[lag:] - raw[:-lag]), m, rp.dt, rp.gamma),
+            lag_loop(lambda lag: np.abs(np.diagonal(mat, offset=lag)), m, rp.dt,
+                     2.0 * rp.gamma))
+
+
+def ref_metric(a, b, interval=None):
+    i, j = a.interval_slice(interval)
+    raw_a, raw_b = a.x_raw[i:j + 1], b.x_raw[i:j + 1]
+    m = raw_a.size - 1
+    diff1 = (raw_a - raw_a[0]) - (raw_b - raw_b[0])
+    mat = dense_second_level(raw_a, a.xx[i:j]) - dense_second_level(raw_b, b.xx[i:j])
+    best1 = lag_loop(lambda lag: np.abs(diff1[lag:] - diff1[:-lag]), m, a.dt, a.gamma)
+    best2 = lag_loop(lambda lag: np.abs(np.diagonal(mat, offset=lag)), m, a.dt,
+                     2.0 * a.gamma)
+    return float(best1 + best2)
+
+
+class TestPairSupKernel:
+    @pytest.mark.parametrize("cells", [1, 2, 31, 63, 64, 65, 130])
+    def test_matches_lag_loops_bitwise(self, cells):
+        # windows shorter than, equal to and longer than one column block, on
+        # sub-intervals and on shifted paths; xx is not the geometric lift
+        rng = np.random.default_rng(cells)
+        dt = 1.0 / 32
+
+        def path():
+            x = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.3, cells + 7))])
+            return rpm.GridRoughPath(0.25, dt, x, rng.normal(0.0, 0.1, cells + 7), 0.4)
+
+        a, b = path(), path()
+        for k in (0, 3, 7):
+            sa, sb = rpm.shift(a, k * dt), rpm.shift(b, k * dt)
+            for lo, hi in ((0, cells), (cells // 3, cells - cells // 4)):
+                interval = (sa.t0 + lo * dt, sa.t0 + hi * dt)
+                rep = rpm.holder_seminorm(sa, interval)
+                assert (rep.seminorm_x, rep.seminorm_xx) == ref_holder(sa, interval)
+                assert rep.rho == rep.seminorm_x + rep.seminorm_xx
+                assert rpm.rough_metric(sa, sb, interval) == ref_metric(sa, sb, interval)
+
+    def test_whole_grid_report(self):
+        rp = rpm.lift_piecewise_linear(rpm.sample_fbm(0.45, 96, 5), 1.0, 1 / 32, gamma=0.4)
+        rep = rpm.holder_seminorm(rp)
+        assert rep.interval == (1.0, 4.0)
+        assert (rep.seminorm_x, rep.seminorm_xx) == ref_holder(rp)
+
+    def test_long_window_in_linear_memory(self):
+        # 4096 cells: one dense n x n float matrix takes 128 MiB, and the
+        # dense code built several
+        n = 4096
+        a = rpm.lift_piecewise_linear(rpm.sample_fbm(0.5, n, 3, horizon=128.0), 0.0,
+                                      128.0 / n, gamma=0.49)
+        b = rpm.lift_piecewise_linear(rpm.sample_fbm(0.5, n, 4, horizon=128.0), 0.0,
+                                      128.0 / n, gamma=0.49)
+        tracemalloc.start()
+        try:
+            rep = rpm.holder_seminorm(a)
+            peak_holder = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            dist = rpm.rough_metric(a, b)
+            peak_metric = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.rho > 0 and dist > 0
+        assert peak_holder < 32 * 2 ** 20
+        assert peak_metric < 32 * 2 ** 20
 
 
 class TestShift:

@@ -21,6 +21,29 @@ def controlled(times, y_rows, yp_rows, gamma=0.5):
                                  np.asarray(yp_rows), gamma)
 
 
+def ref_controlled_norm(model, path, rp, interval, alpha):
+    """The lag-by-lag loop that the pair-sup kernel replaced."""
+    gamma = path.gamma
+    lo = int(round((interval[0] - path.times[0]) / path.dt))
+    hi = int(round((interval[1] - path.times[0]) / path.dt))
+    y = path.y[lo:hi + 1]
+    yp = path.y_prime[lo:hi + 1]
+    stride = int(round(path.dt / rp.dt))
+    xvals = rp.x_raw[rp.index(path.times[lo]) + stride * np.arange(hi - lo + 1)]
+    sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
+    sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
+    hol_yp = rem_g = rem_2g = 0.0
+    for lag in range(1, y.shape[0]):
+        span = (lag * path.dt) ** gamma
+        span2 = (lag * path.dt) ** (2.0 * gamma)
+        dyp = yp[lag:] - yp[:-lag]
+        hol_yp = max(hol_yp, float(np.max(model.frac_norm_rows(dyp, alpha - 2.0 * gamma))) / span)
+        rem = y[lag:] - y[:-lag] - yp[:-lag] * (xvals[lag:] - xvals[:-lag])[:, None]
+        rem_g = max(rem_g, float(np.max(model.frac_norm_rows(rem, alpha - gamma))) / span)
+        rem_2g = max(rem_2g, float(np.max(model.frac_norm_rows(rem, alpha - 2.0 * gamma))) / span2)
+    return solver.ControlledNorm(sup_y, sup_yp, hol_yp, rem_g, rem_2g)
+
+
 class TestRoughConvolution:
     def test_zero_integrand(self):
         model = SpectralModel(3, lambda_a=1.0)
@@ -163,6 +186,27 @@ class TestControlledNorm:
         assert norm.sup_y == pytest.approx(model.frac_norm(y[0], 0.0))
         assert norm.total == norm.sup_y
 
+    @pytest.mark.parametrize("n_modes,sigma_g,cells_per_step", [(4, 0.0, 1), (16, 0.2, 1),
+                                                                (6, 0.1, 2)])
+    def test_matches_lag_loop(self, n_modes, sigma_g, cells_per_step):
+        # windows of 1, 2, 63, 64, 65 and 130 steps, the composition pair's
+        # shifted base space included; row norms go through BLAS in another
+        # batch shape, which can move the last bit
+        model = SpectralModel(n_modes, lambda_a=2.0, c_g=0.3, sigma_g=sigma_g)
+        rp = brownian_lift(15, n=140 * cells_per_step, horizon=140 / 64, scale=0.3)
+        path = solver.solve_mild(model, np.ones(n_modes) / 2.0, rp, cells_per_step=cells_per_step)
+        pair = solver.composition_pair(model, path)
+        step = path.dt
+        for lo, steps in ((0, 1), (5, 2), (3, 63), (7, 64), (0, 65), (10, 130)):
+            interval = (lo * step, (lo + steps) * step)
+            for traj, alpha in ((path, model.alpha), (pair, model.alpha - model.sigma_g)):
+                got = solver.controlled_norm(model, traj, rp, interval, alpha=alpha)
+                want = ref_controlled_norm(model, traj, rp, interval, alpha)
+                for name in ("sup_y", "sup_yp", "hol_yp", "rem_g", "rem_2g"):
+                    assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0.0)
+            assert solver.composition_norm(model, path, rp, interval) == \
+                solver.controlled_norm(model, pair, rp, interval, alpha=model.alpha - model.sigma_g)
+
     def test_monotone_under_interval_inclusion(self):
         model = SpectralModel(6, lambda_a=2.0, c_g=0.2)
         rp = brownian_lift(11, n=128, horizon=2.0, scale=0.3)
@@ -179,7 +223,7 @@ class TestControlledNorm:
         def ratio(seed):
             rp = brownian_lift(seed, n=64, scale=0.3)
             path = solver.solve_mild(model, np.ones(8) / 2.0, rp)
-            rho = rpm.holder_seminorm(rp, "first") + rpm.holder_seminorm(rp, "second")
+            rho = rpm.holder_seminorm(rp).rho
             comp = solver.composition_norm(model, path, rp).total
             base = solver.controlled_norm(model, path, rp).total
             return comp / (rho * (1.0 + base))
