@@ -86,10 +86,12 @@ _RANGES = (
     ("steps_per_unit", "must be at least 1", lambda v: v >= 1),
     ("horizon", "must be positive", lambda v: v > 0),
     ("train_seeds", "must be at least 1", lambda v: v >= 1),
+    ("calib_margin", "must be nonnegative", lambda v: v >= 0),
     ("trunc_k", "must be at least 2", lambda v: v >= 2),
     ("eps_points", "must be at least 1", lambda v: v >= 1),
     ("t_list", "must hold positive times", lambda v: min(v) > 0),
     ("cloud_points", "must be at least 1", lambda v: v >= 1),
+    ("cloud_radius", "must be positive", lambda v: v > 0),
     ("q_moment", "must be 0 (the derived order) or at least 1", lambda v: v == 0 or v >= 1),
 )
 
@@ -338,9 +340,15 @@ def _apriori_time(horizon: float) -> float:
 
 
 def _require_unit_horizon(cfg: ExperimentConfig) -> None:
+    """The [0, horizon] grid of sample_lift must hold whole unit windows."""
     if cfg.horizon < 1.0:
         raise ConfigError(f"config key horizon must be at least 1 for {cfg.command}, "
                           f"got {cfg.horizon!r}")
+    dt = cfg.horizon / int(round(cfg.horizon * cfg.steps_per_unit))
+    if abs(round(1.0 / dt) * dt - 1.0) > 1e-9:
+        raise ConfigError(f"config key horizon: {cfg.horizon!r} at {cfg.steps_per_unit} steps "
+                          f"per unit gives a grid step of {dt!r}, which does not divide one "
+                          f"unit; {cfg.command} needs whole unit windows")
 
 
 def _cmd_bounds(cfg: ExperimentConfig) -> None:

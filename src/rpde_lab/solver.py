@@ -10,7 +10,10 @@ is advanced cell by cell with the one-step expansion
 
 whose limit under grid refinement is the semigroup-weighted compensated
 Riemann sum realized by rough_convolution. The Gubinelli derivative of the
-solution is G(y) by construction and is stored alongside the path.
+solution is G(y) by construction: each step stores the G(y_k) it uses as the
+row y'_k, so every state's G is computed once. The step loop runs on plain
+arrays and evaluates one kernel grid per step, shared by G(y_k) and
+DG(y_k)[G(y_k)] (SpectralModel.g_and_dg).
 
 The scheme consumes per-cell increments of the raw sampled noise, so solving
 over [0, s+t] and solving over [0, s] followed by the shifted noise on [0, t]
@@ -50,15 +53,6 @@ class ControlledPath:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def state_at(self, k: int, alpha: float) -> SpectralState:
-        return SpectralState(self.y[k], alpha)
-
-    def remainder(self, rp: GridRoughPath, i: int, j: int) -> np.ndarray:
-        """R[i,j] = y[i,j] - y'_i X[i,j] with indices on the path grid."""
-        xi = rp.index(self.times[i])
-        xj = rp.index(self.times[j])
-        return self.y[j] - self.y[i] - self.y_prime[i] * rp.increment(xi, xj)
 
 
 @dataclass(frozen=True)
@@ -113,10 +107,11 @@ def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
     """Exponential rough Euler trajectory driven by rp, started at y0.
 
     The solver grid coincides with the noise grid thinned by cells_per_step
-    (increments over grouped cells are Chen-aggregated). Non-finite states
-    abort with a diagnostic naming the first bad time.
+    (increments over grouped cells are Chen-aggregated). A state that is not
+    finite or exceeds 1e150, and a non-finite y' row, abort with a
+    NumericsError naming the first bad time (t_bad).
     """
-    coeffs = y0.coeffs if isinstance(y0, SpectralState) else np.asarray(y0, dtype=float)
+    coeffs = (y0 if isinstance(y0, SpectralState) else SpectralState(y0, model.alpha)).coeffs
     if coeffs.shape != (model.n_modes,):
         raise ValueError("initial state must carry one coefficient per mode")
     if cells_per_step < 1 or rp.n_cells % cells_per_step:
@@ -131,29 +126,31 @@ def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
     n_steps = n_cells // cells_per_step
     step = cells_per_step * rp.dt
     decay = model.semigroup_factors(step)
+    x_step = np.diff(rp.x_raw[:n_cells + 1:cells_per_step]).tolist()
+    xx_step = (rp.xx[:n_cells].tolist() if cells_per_step == 1 else
+               [rp.second_level(c, c + cells_per_step) for c in range(0, n_cells, cells_per_step)])
+    work = model.kernel_work()
 
     y = np.empty((n_steps + 1, model.n_modes))
     yp = np.empty_like(y)
     y[0] = coeffs
-    cur = SpectralState(coeffs, model.alpha)
-    yp[0] = model.apply_g(cur).coeffs
     blow_cap = 1e150  # declare divergence before overflow pollutes the maps
-    for k in range(n_steps):
-        c = k * cells_per_step
-        xc = rp.increment(c, c + cells_per_step)
-        xxc = rp.xx[c] if cells_per_step == 1 else rp.second_level(c, c + cells_per_step)
-        g = model.apply_g(cur)
-        dg_g = model.apply_dg(cur, g)
-        drift = model.apply_f(cur).coeffs * step
-        with np.errstate(over="ignore", invalid="ignore"):
-            nxt = decay * (cur.coeffs + drift + g.coeffs * xc + dg_g.coeffs * xxc)
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > blow_cap:
-            t_bad = rp.t0 + (c + cells_per_step) * rp.dt
-            raise NumericsError(f"trajectory blew up at t = {t_bad}", t_bad=t_bad)
-        cur = SpectralState(nxt, model.alpha)
-        y[k + 1] = nxt
-        yp[k + 1] = model.apply_g(cur).coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            cur = y[k]
+            g, dg_g = model.g_and_dg(cur, work)
+            yp[k] = g
+            drift = model.f_values(cur) * step
+            nxt = decay * (cur + drift + g * x_step[k] + dg_g * xx_step[k])
+            if not np.abs(nxt).max() <= blow_cap:  # also true for NaN
+                t_bad = rp.t0 + (k + 1) * cells_per_step * rp.dt
+                raise NumericsError(f"trajectory blew up at t = {t_bad}", t_bad=t_bad)
+            y[k + 1] = nxt
+        yp[n_steps] = model.g_values(y[n_steps], work)
     times = rp.t0 + step * np.arange(n_steps + 1)
+    if not np.isfinite(yp).all():
+        t_bad = float(times[np.argmin(np.isfinite(yp).all(axis=1))])
+        raise NumericsError(f"y' = G(y) is not finite at t = {t_bad}", t_bad=t_bad)
     return ControlledPath(times, y, yp, rp.gamma)
 
 
@@ -208,14 +205,11 @@ def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPat
 
 def composition_pair(model: SpectralModel, path: ControlledPath) -> ControlledPath:
     """The controlled pair (G(y), DG(y)[G(y)]) along a solved trajectory."""
-    n = path.times.size
     gy = np.empty_like(path.y)
     gyp = np.empty_like(path.y)
-    for k in range(n):
-        st = SpectralState(path.y[k], model.alpha)
-        g = model.apply_g(st)
-        gy[k] = g.coeffs
-        gyp[k] = model.apply_dg(st, g).coeffs
+    work = model.kernel_work()
+    for k, row in enumerate(path.y):
+        gy[k], gyp[k] = model.g_and_dg(row, work)
     return ControlledPath(path.times.copy(), gy, gyp, path.gamma)
 
 

@@ -62,25 +62,31 @@ class IntegralKernel:
         self.deriv_bound = float(deriv_bound)
 
 
+def _tanh_parts(c_g: float, xi):
+    """(c_g sin(pi xi), cos(pi xi)/2): scale and shift of the built-in kernel."""
+    return c_g * np.sin(np.pi * xi), 0.5 * np.cos(np.pi * xi)
+
+
 def _default_kernel(c_g: float) -> IntegralKernel:
     # g(xi, v) = c_g sin(pi xi) tanh(v + cos(pi xi)/2); vanishes on the boundary
-    def shift(xi):
-        return 0.5 * np.cos(np.pi * xi)
-
     def g(xi, v):
-        return c_g * np.sin(np.pi * xi) * np.tanh(v + shift(xi))
+        scale, shift = _tanh_parts(c_g, xi)
+        return scale * np.tanh(v + shift)
 
     def d1(xi, v):
-        t = np.tanh(v + shift(xi))
-        return c_g * np.sin(np.pi * xi) * (1.0 - t * t)
+        scale, shift = _tanh_parts(c_g, xi)
+        t = np.tanh(v + shift)
+        return scale * (1.0 - t * t)
 
     def d2(xi, v):
-        t = np.tanh(v + shift(xi))
-        return c_g * np.sin(np.pi * xi) * (-2.0 * t * (1.0 - t * t))
+        scale, shift = _tanh_parts(c_g, xi)
+        t = np.tanh(v + shift)
+        return scale * (-2.0 * t * (1.0 - t * t))
 
     def d3(xi, v):
-        t = np.tanh(v + shift(xi))
-        return c_g * np.sin(np.pi * xi) * (-2.0 * (1.0 - t * t) * (1.0 - 3.0 * t * t))
+        scale, shift = _tanh_parts(c_g, xi)
+        t = np.tanh(v + shift)
+        return scale * (-2.0 * (1.0 - t * t) * (1.0 - 3.0 * t * t))
 
     return IntegralKernel(g, d1, d2, d3, deriv_bound=2.0 * abs(c_g))
 
@@ -106,7 +112,8 @@ class SpectralModel:
     """Immutable diagonal model with coefficient configuration."""
 
     __slots__ = ("n_modes", "mu", "lambda_a", "alpha", "sigma_f", "sigma_g",
-                 "c_f", "c_g", "g_kind", "lap", "kernel", "_nodes", "_weights", "_basis")
+                 "c_f", "c_g", "g_kind", "lap", "kernel", "_nodes", "_weights", "_basis",
+                 "_f_scale", "_g_scale", "_k_scale", "_k_shift")
 
     def __init__(self, n_modes: int, lambda_a: float, alpha: float = 0.0,
                  sigma_f: float = 0.0, sigma_g: float = 0.0,
@@ -150,6 +157,9 @@ class SpectralModel:
         self.lap = lap
         self.mu.flags.writeable = False
         self.lap.flags.writeable = False
+        self._f_scale = self.c_f * self.mu ** self.sigma_f
+        self._g_scale = self.c_g * self.lap ** self.sigma_g
+        self._k_scale = self._k_shift = None
         if g_kind == "integral":
             self.kernel = kernel if kernel is not None else _default_kernel(self.c_g)
             nq = quad_points if quad_points is not None else max(128, 4 * self.n_modes)
@@ -158,6 +168,10 @@ class SpectralModel:
             self._weights = 0.5 * weights
             k = np.arange(1, self.n_modes + 1, dtype=float)
             self._basis = np.sqrt(2.0) * np.sin(np.pi * np.outer(k, self._nodes))
+            if kernel is None:
+                # full (q, q) grids: contiguous operands run faster than broadcast columns
+                self._k_scale, self._k_shift = (
+                    np.repeat(part, nq, axis=1) for part in _tanh_parts(self.c_g, self._nodes[:, None]))
         else:
             if kernel is not None:
                 raise ConfigError("kernel only applies to g_kind = integral")
@@ -197,10 +211,13 @@ class SpectralModel:
 
     # -- drift ----------------------------------------------------------
 
+    def f_values(self, y: np.ndarray) -> np.ndarray:
+        """The drift c_f mu^sigma_f tanh(y) of a coefficient array."""
+        return self._f_scale * np.tanh(y)
+
     def apply_f(self, state: SpectralState) -> SpectralState:
         """Mode-wise saturating drift, Lipschitz c_f from alpha to alpha - sigma_f."""
-        out = self.c_f * self.mu ** self.sigma_f * np.tanh(state.coeffs)
-        return SpectralState(out, state.alpha - self.sigma_f)
+        return SpectralState(self.f_values(state.coeffs), state.alpha - self.sigma_f)
 
     # -- diffusion ------------------------------------------------------
 
@@ -209,16 +226,6 @@ class SpectralModel:
 
     def _project(self, point_vals: np.ndarray) -> np.ndarray:
         return self._basis @ (self._weights * point_vals)
-
-    def apply_g(self, state: SpectralState) -> SpectralState:
-        """Diffusion coefficient: diagonal fractional power or integral operator."""
-        if self.g_kind == "linear":
-            out = self.c_g * self.lap ** self.sigma_g * state.coeffs
-        else:
-            u = self._point_values(state.coeffs)
-            inner = self._integral_values(self.kernel.g, u)
-            out = self._basis @ (self._weights * inner)
-        return SpectralState(out, state.alpha - self.sigma_g)
 
     def _integral_values(self, fn, u: np.ndarray, h=None, h2=None, h3=None) -> np.ndarray:
         """Evaluate xi_j -> int fn(xi_j, u(x)) * [h(x) ...] dx on the nodes."""
@@ -229,14 +236,73 @@ class SpectralModel:
                 vals = vals * extra[None, :]
         return vals @ self._weights
 
-    def apply_dg(self, state: SpectralState, h: SpectralState) -> SpectralState:
+    def kernel_work(self) -> np.ndarray | None:
+        """Scratch for g_values / g_and_dg: the built-in kernel's grid and a work grid.
+
+        Allocate it once per trajectory; None when no grid is reused (linear
+        model or custom kernel).
+        """
+        if self._k_scale is None:
+            return None
+        q = self._nodes.size
+        return np.empty((2, q, q))
+
+    def _kernel_grid(self, u: np.ndarray, work: np.ndarray) -> np.ndarray:
+        # the built-in kernel's grid tanh(u(x_j) + cos(pi xi_i)/2) into work[0]
+        np.add(u, self._k_shift, out=work[0])
+        np.tanh(work[0], out=work[0])
+        return work
+
+    def g_values(self, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+        """Diffusion coefficient G(y) of a coefficient array.
+
+        The built-in kernel leaves its tanh grid in work[0], where g_and_dg reuses it.
+        """
         if self.g_kind == "linear":
-            out = self.c_g * self.lap ** self.sigma_g * h.coeffs
-        else:
-            u = self._point_values(state.coeffs)
-            hv = self._point_values(h.coeffs)
-            out = self._basis @ (self._weights * self._integral_values(self.kernel.d1, u, hv))
-        return SpectralState(out, state.alpha - self.sigma_g)
+            return self._g_scale * y
+        u = self._point_values(y)
+        if self._k_scale is None:
+            return self._project(self._integral_values(self.kernel.g, u))
+        grid, scratch = self._kernel_grid(u, work if work is not None else self.kernel_work())
+        return self._project(np.multiply(self._k_scale, grid, out=scratch) @ self._weights)
+
+    def _dg_on_grid(self, work: np.ndarray, h: np.ndarray) -> np.ndarray:
+        # DG(y)[h] of the built-in kernel from the grid in work[0]
+        grid, scratch = work
+        np.multiply(grid, grid, out=scratch)
+        np.subtract(1.0, scratch, out=scratch)
+        np.multiply(self._k_scale, scratch, out=scratch)
+        scratch *= self._point_values(h)
+        return self._project(scratch @ self._weights)
+
+    def _dg_values(self, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+        # Frechet derivative DG(y)[h] of coefficient arrays
+        if self.g_kind == "linear":
+            return self._g_scale * h
+        u = self._point_values(y)
+        if self._k_scale is None:
+            return self._project(self._integral_values(self.kernel.d1, u, self._point_values(h)))
+        return self._dg_on_grid(self._kernel_grid(u, self.kernel_work()), h)
+
+    def g_and_dg(self, y: np.ndarray, work: np.ndarray | None = None):
+        """(G(y), DG(y)[G(y)]): the two noise weights of one Euler step.
+
+        The built-in kernel evaluates its tanh grid once for both; the linear
+        model returns (scale y, scale G(y)).
+        """
+        if work is None:
+            work = self.kernel_work()
+        g = self.g_values(y, work)
+        if work is None:
+            return g, self._dg_values(y, g)
+        return g, self._dg_on_grid(work, g)
+
+    def apply_g(self, state: SpectralState) -> SpectralState:
+        """Diffusion coefficient: diagonal fractional power or integral operator."""
+        return SpectralState(self.g_values(state.coeffs), state.alpha - self.sigma_g)
+
+    def apply_dg(self, state: SpectralState, h: SpectralState) -> SpectralState:
+        return SpectralState(self._dg_values(state.coeffs, h.coeffs), state.alpha - self.sigma_g)
 
     def apply_d2g(self, state: SpectralState, h1: SpectralState, h2: SpectralState) -> SpectralState:
         if self.g_kind == "linear":
@@ -257,10 +323,6 @@ class SpectralModel:
                 self.kernel.d3, u, self._point_values(h1.coeffs),
                 self._point_values(h2.coeffs), self._point_values(h3.coeffs)))
         return SpectralState(out, state.alpha - self.sigma_g)
-
-    def gubinelli_of_g(self, state: SpectralState) -> SpectralState:
-        """Composition DG(y) applied to G(y); the second-level weight in schemes."""
-        return self.apply_dg(state, self.apply_g(state))
 
     @property
     def c_g_bound(self) -> float:

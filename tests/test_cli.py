@@ -118,10 +118,16 @@ class TestExitCodes:
         ("solve", "steps_per_unit = 1\nhorizon = 1.0", None, "steps_per_unit"),
         ("ergodic", "horizon = 0.5", None, "horizon"),
         ("bounds", "horizon = 0.5", None, "horizon"),
+        # a grid step that does not divide one unit: 42 cells on 1.3
+        ("ergodic", "horizon = 1.3", None, "horizon"),
+        ("bounds", "horizon = 1.3", None, "horizon"),
+        ("bounds", "calib_margin = -2", None, "calib_margin"),
+        ("pullback", "cloud_radius = -1", None, "cloud_radius"),
     ], ids=["seed_offset", "steps_per_unit", "hurst", "trunc_k", "t_list_parse",
             "t_list_range", "eps_points", "cloud_points", "q_moment", "train_seeds",
             "lift_one_cell", "solve_one_cell", "ergodic_short_horizon",
-            "bounds_short_horizon"])
+            "bounds_short_horizon", "ergodic_off_unit_grid", "bounds_off_unit_grid",
+            "calib_margin", "cloud_radius"])
     def test_bad_value(self, tmp_path, monkeypatch, capsys, command, line, env, key):
         if env is not None:
             monkeypatch.setenv(cli.SEED_ENV, env)
@@ -129,6 +135,8 @@ class TestExitCodes:
         cfg.write_text(f"command = {command}\n{line}\nout = {tmp_path / 'o'}\n")
         assert run(["--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+        if command not in ("lift", "solve"):  # these two sample after creating it
+            assert not (tmp_path / "o").exists()
 
     def test_bad_seed_list_option(self, tmp_path):
         assert run(["lift", "--seeds", "1,x", "--out", str(tmp_path / "o")]) == 2

@@ -8,7 +8,7 @@ import pytest
 from rpde_lab import roughpath as rpm
 from rpde_lab import solver
 from rpde_lab.errors import NumericsError
-from rpde_lab.spectral import SpectralModel
+from rpde_lab.spectral import IntegralKernel, SpectralModel, SpectralState
 
 
 def brownian_lift(seed, n=256, gamma=0.5, scale=1.0, horizon=1.0, t0=0.0):
@@ -19,6 +19,37 @@ def brownian_lift(seed, n=256, gamma=0.5, scale=1.0, horizon=1.0, t0=0.0):
 def controlled(times, y_rows, yp_rows, gamma=0.5):
     return solver.ControlledPath(np.asarray(times), np.asarray(y_rows),
                                  np.asarray(yp_rows), gamma)
+
+
+def ref_solve_mild(model, y0, rp, horizon=None, cells_per_step=1):
+    """The per-step SpectralState loop that the array loop replaced.
+
+    Returns (y, y_prime, t_bad) with t_bad None when no step blew up.
+    """
+    n_cells = rp.n_cells if horizon is None else int(round(horizon / rp.dt))
+    n_steps = n_cells // cells_per_step
+    step = cells_per_step * rp.dt
+    decay = model.semigroup_factors(step)
+    y = np.empty((n_steps + 1, model.n_modes))
+    yp = np.empty_like(y)
+    y[0] = y0
+    cur = SpectralState(y0, model.alpha)
+    yp[0] = model.apply_g(cur).coeffs
+    for k in range(n_steps):
+        c = k * cells_per_step
+        xc = rp.increment(c, c + cells_per_step)
+        xxc = rp.xx[c] if cells_per_step == 1 else rp.second_level(c, c + cells_per_step)
+        g = model.apply_g(cur)
+        dg_g = model.apply_dg(cur, g)
+        drift = model.apply_f(cur).coeffs * step
+        with np.errstate(over="ignore", invalid="ignore"):
+            nxt = decay * (cur.coeffs + drift + g.coeffs * xc + dg_g.coeffs * xxc)
+        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > 1e150:
+            return y, yp, rp.t0 + (c + cells_per_step) * rp.dt
+        cur = SpectralState(nxt, model.alpha)
+        y[k + 1] = nxt
+        yp[k + 1] = model.apply_g(cur).coeffs
+    return y, yp, None
 
 
 def ref_controlled_norm(model, path, rp, interval, alpha):
@@ -161,12 +192,54 @@ class TestSolveMild:
         assert path.dt == pytest.approx(4 / 128)
 
     def test_blowup_diagnostic_names_first_time(self):
+        # the exact t_bad of the per-step loop; the large state blows up on
+        # the first step
         model = SpectralModel(2, lambda_a=0.5, c_g=200.0)
         rp = brownian_lift(8, n=256, scale=2.0)
-        with pytest.raises(NumericsError) as err:
-            solver.solve_mild(model, np.ones(2), rp)
-        assert "t_bad" in err.value.context
-        assert 0.0 < err.value.context["t_bad"] <= 1.0
+        for y0 in (np.ones(2), np.full(2, 1e149)):
+            with pytest.raises(NumericsError) as err:
+                solver.solve_mild(model, y0, rp)
+            t_bad = ref_solve_mild(model, y0, rp)[2]
+            assert err.value.context["t_bad"] == t_bad
+            assert 0.0 < t_bad <= 1.0
+        assert t_bad == rp.dt
+
+    def test_nonfinite_y_prime_is_a_numerics_error(self):
+        # without noise y only decays and stays finite; the kernel is NaN once
+        # the state is small, which first happens on the last row
+        n = 8
+        thr = np.sqrt(2.0) * np.exp(-SpectralModel(1, lambda_a=1.0).mu[0] * 7.5 / n)
+
+        def g(xi, v):
+            return np.where(np.abs(v).max() < thr, np.nan, 0.0 * xi * v)
+
+        def zero(xi, v):
+            return 0.0 * xi * v
+
+        model = SpectralModel(1, lambda_a=1.0, g_kind="integral",
+                              kernel=IntegralKernel(g, zero, zero, zero, deriv_bound=1.0))
+        rp = rpm.lift_piecewise_linear(np.zeros(n + 1), 0.0, 1.0 / n)
+        with pytest.raises(NumericsError, match="not finite") as err:
+            solver.solve_mild(model, np.ones(1), rp)
+        assert err.value.context["t_bad"] == 1.0
+
+    @pytest.mark.parametrize("cells_per_step", [1, 4])
+    @pytest.mark.parametrize("horizon", [None, 1.25])
+    @pytest.mark.parametrize("kind", ["integral", "linear_drift"])
+    def test_matches_per_step_loop(self, kind, horizon, cells_per_step):
+        if kind == "integral":
+            model = SpectralModel(16, lambda_a=8.0, c_g=0.5, g_kind="integral")
+        else:
+            model = SpectralModel(12, lambda_a=2.0, sigma_f=0.25, sigma_g=0.2,
+                                  c_f=0.6, c_g=0.4)
+        rp = brownian_lift(16, n=128, horizon=2.0, scale=0.3)
+        y0 = np.random.default_rng(17).standard_normal(model.n_modes)
+        path = solver.solve_mild(model, y0, rp, horizon=horizon, cells_per_step=cells_per_step)
+        y, yp, t_bad = ref_solve_mild(model, y0, rp, horizon, cells_per_step)
+        assert t_bad is None
+        assert path.times.size == (128 if horizon is None else 80) // cells_per_step + 1
+        assert np.array_equal(path.y, y)
+        assert np.array_equal(path.y_prime, yp)
 
     def test_horizon_validation(self):
         model = SpectralModel(2, lambda_a=1.0)

@@ -142,9 +142,9 @@ class TestDiffusionLinear:
         m = SpectralModel(8, lambda_a=2.0, sigma_g=0.3, c_g=0.7)
         rng = np.random.default_rng(8)
         st = m.state(rng.standard_normal(8))
-        lhs = m.gubinelli_of_g(st).coeffs
-        rhs = m.apply_g(m.apply_g(st)).coeffs
-        assert lhs == pytest.approx(rhs, rel=1e-14)
+        g, dg_g = m.g_and_dg(st.coeffs)
+        assert np.array_equal(g, m.apply_g(st).coeffs)
+        assert dg_g == pytest.approx(m.apply_g(m.apply_g(st)).coeffs, rel=1e-14)
 
     def test_bound_property(self):
         m = SpectralModel(8, lambda_a=2.0, sigma_g=0.3, c_g=0.7)
@@ -190,6 +190,52 @@ class TestDiffusionIntegral:
                            lambda xi, v: 0 * v, lambda xi, v: 0 * v, 1.0)
         with pytest.raises(ConfigError):
             SpectralModel(6, lambda_a=1.0, g_kind="linear", kernel=k)
+
+
+class TestFusedDiffusion:
+    """g_and_dg against apply_g then apply_dg, and the kernel grid against the kernel."""
+
+    MODELS = {
+        "integral": dict(n_modes=10, lambda_a=2.0, c_g=0.5, g_kind="integral"),
+        "integral_shifted": dict(n_modes=16, lambda_a=8.0, sigma_g=0.2, c_g=2e-4,
+                                 g_kind="integral"),
+        "linear": dict(n_modes=8, lambda_a=2.0, sigma_g=0.3, c_g=0.7),
+    }
+
+    @staticmethod
+    def states(n_modes):
+        rng = np.random.default_rng(21)
+        return [np.zeros(n_modes), rng.standard_normal(n_modes),
+                1e6 * rng.standard_normal(n_modes)]
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_apply_g_then_apply_dg(self, name):
+        m = SpectralModel(**self.MODELS[name])
+        work = m.kernel_work()
+        for y in self.states(m.n_modes):
+            st = m.state(y)
+            g = m.apply_g(st)
+            dg_g = m.apply_dg(st, g)
+            for got in (m.g_and_dg(y), m.g_and_dg(y, work)):
+                assert np.array_equal(got[0], g.coeffs)
+                assert np.array_equal(got[1], dg_g.coeffs)
+            assert np.array_equal(m.g_values(y, work), g.coeffs)
+
+    @pytest.mark.parametrize("name", ["integral", "integral_shifted"])
+    def test_grid_matches_kernel_functions(self, name):
+        # a custom kernel takes the kernel-function path; the built-in one the
+        # shared tanh grid, which must give the same bits
+        pairs = self.MODELS[name]
+        m = SpectralModel(**pairs)
+        custom = SpectralModel(**pairs, kernel=m.kernel)
+        assert m.kernel_work().shape == (2, 128, 128) and custom.kernel_work() is None
+        rng = np.random.default_rng(22)
+        for y in self.states(m.n_modes):
+            h = rng.standard_normal(m.n_modes)
+            for a, b in zip(m.g_and_dg(y), custom.g_and_dg(y)):
+                assert np.array_equal(a, b)
+            assert np.array_equal(m.apply_dg(m.state(y), m.state(h)).coeffs,
+                                  custom.apply_dg(custom.state(y), custom.state(h)).coeffs)
 
 
 class TestConfigFile:
