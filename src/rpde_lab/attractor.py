@@ -36,9 +36,9 @@ import numpy as np
 
 from .configio import get_typed, load_kv_file
 from .errors import ConfigError, NumericsError
-from .greedy import count_in_window
+from .greedy import count_in_window, window_counts
 from .gronwall import discrete_gronwall
-from .roughpath import GridRoughPath, holder_seminorm
+from .roughpath import GridRoughPath, holder_seminorm, window_seminorms
 from .solver import ControlledPath, controlled_norm, solve_mild
 from .spectral import SpectralModel, smoothing_constant
 from .specfun import certify_ml_bound, gamma_fn, mittag_leffler
@@ -455,14 +455,18 @@ class HPair:
     p: PConstants
 
 
-def eval_h(rp: GridRoughPath, constants: BoundConstants, interval) -> HPair:
+def h_values(constants: BoundConstants, rho: float, p1: float, p2: float) -> tuple:
     """H1 = C~1 CG rho^2 P1 and H2 = max(C~A e^lam, C~1 CG)(1 + rho^2 (1 + P2))."""
-    pc = eval_p_constants(rp, constants, interval)
-    rho = pc.rho
-    h1 = constants.c_tilde_1 * constants.c_g * rho * rho * pc.p1
+    h1 = constants.c_tilde_1 * constants.c_g * rho * rho * p1
     h2 = max(constants.c_tilde_a * math.exp(constants.lam),
-             constants.c_tilde_1 * constants.c_g) * (1.0 + rho * rho * (1.0 + pc.p2))
-    return HPair(h1, h2, rho, pc)
+             constants.c_tilde_1 * constants.c_g) * (1.0 + rho * rho * (1.0 + p2))
+    return h1, h2
+
+
+def eval_h(rp: GridRoughPath, constants: BoundConstants, interval) -> HPair:
+    """The window constants H1, H2 (h_values) of one interval."""
+    pc = eval_p_constants(rp, constants, interval)
+    return HPair(*h_values(constants, pc.rho, pc.p1, pc.p2), pc.rho, pc)
 
 
 def discrete_chain_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
@@ -748,21 +752,43 @@ def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
             f"realization must cover [-{truncation_k + 1}, 1], got [{rp.t0}, {rp.end_time}]")
     lam = constants.lam
     eps_values = _grid_eps_values(rp, eps_points)
+    # per eps, the unit windows [-k - eps, 1 - k - eps] for k = 0, ..., truncation_k
+    # as (start index, block count); k = 0 gives P1 and P2, k >= 1 the series
+    windows = []
+    for eps in eps_values:
+        bounds = [(float(-k - eps), float(1.0 - k - eps)) for k in range(truncation_k + 1)]
+        windows.append([(rp.index(s), window_blocks(t - s, constants.d_step)) for s, t in bounds])
+    cells = rp.index(1.0) - rp.index(0.0)
+    # greedy counts and seminorms of the distinct windows, one batched pass each,
+    # in evaluation order, so a greedy error names the window the loop would reach
+    # first; the constants of each window are then scalar math, as in eval_p_constants
+    starts = list(dict.fromkeys(i for row in windows for i, _ in row))
+    slot = {i: a for a, i in enumerate(starts)}
+    counts = window_counts(rp, constants.eta, constants.chi, starts, cells)
+    sx, sxx = (v.tolist() for v in window_seminorms(rp, starts, cells))
+
+    def window_p(i, n_tilde):
+        """(rho, P1, P2) of the unit window from grid index i."""
+        a = slot[i]
+        _, p1, p2 = p_values(counts[a], sx[a], sxx[a], n_tilde, constants.m_big,
+                             constants.m_tilde)
+        return sx[a] + sxx[a], p1, p2
+
     best_sum = -math.inf
     best_terms = None
     best_eps = 0.0
     p1_val = 0.0
     p2_val = 0.0
-    for eps in eps_values:
-        pc = eval_p_constants(rp, constants, (-eps, 1.0 - eps))
-        p1_val = max(p1_val, pc.p1)
-        p2_val = max(p2_val, pc.p2)
+    for eps, row in zip(eps_values, windows):
+        _, p1, p2 = window_p(*row[0])
+        p1_val = max(p1_val, p1)
+        p2_val = max(p2_val, p2)
         terms = np.empty(truncation_k)
         prod = 1.0
         for k in range(1, truncation_k + 1):
-            pair = eval_h(rp, constants, (-k - eps, 1.0 - k - eps))
-            terms[k - 1] = math.exp(-lam * k) * pair.h2 * prod
-            prod *= 1.0 + pair.h1
+            h1, h2 = h_values(constants, *window_p(*row[k]))
+            terms[k - 1] = math.exp(-lam * k) * h2 * prod
+            prod *= 1.0 + h1
         total = float(np.sum(terms))
         if total > best_sum:
             best_sum = total

@@ -69,7 +69,6 @@ class ExperimentConfig:
     cloud_points: int = 5
     cloud_radius: float = 1.0
     q_moment: float = 0.0    # 0 -> use the derived q
-    beta_shift: float = 0.0  # 0 -> half the admissible limit
     config_path: str = ""  # the file the settings came from; not itself a key
 
 
@@ -77,9 +76,10 @@ class ExperimentConfig:
 _SETTINGS = tuple(f for f in fields(ExperimentConfig) if f.name != "config_path")
 _KINDS = {"str": str, "int": int, "float": float, "bool": bool,
           "tuple[int, ...]": int, "tuple[float, ...]": float}
-# written into every manifest beside the settings; ignored when one is replayed
+# written into every manifest beside the settings (beta_shift by earlier
+# versions, as a setting no command read); ignored when one is replayed
 _BOOKKEEPING = ("config_hash", "package_version", "python_version", "numpy_version",
-                "wall_time_s")
+                "wall_time_s", "beta_shift")
 # (key, requirement, test) of the settings that have a valid range
 _RANGES = (
     ("hurst", "must lie in (1/3, 1]", lambda v: 1.0 / 3.0 < v <= 1.0),
@@ -177,13 +177,19 @@ def _build_constants(cfg: ExperimentConfig, model: SpectralModel) -> att.BoundCo
     return att.BoundConstants.derive(model, n_tilde_override=override, **pairs)
 
 
-def sample_lift(cfg: ExperimentConfig, seed: int, span: float, t_start: float,
-                gamma: float) -> roughpath.GridRoughPath:
-    """Lift of the seeded fBm noise of cfg (hurst, steps_per_unit, noise_scale)."""
+def _lift_cells(cfg: ExperimentConfig, span: float) -> int:
+    """Cell count of sample_lift over span; a lift needs at least 2."""
     n = int(round(span * cfg.steps_per_unit))
     if n < 2:
         raise ConfigError(f"config key steps_per_unit: {cfg.steps_per_unit!r} steps per unit "
                           f"give {n} cell(s) on a span of {span!r}; a lift needs at least 2")
+    return n
+
+
+def sample_lift(cfg: ExperimentConfig, seed: int, span: float, t_start: float,
+                gamma: float) -> roughpath.GridRoughPath:
+    """Lift of the seeded fBm noise of cfg (hurst, steps_per_unit, noise_scale)."""
+    n = _lift_cells(cfg, span)
     values = cfg.noise_scale * roughpath.sample_fbm(cfg.hurst, n, seed, horizon=span)
     return roughpath.lift_piecewise_linear(values, t_start, span / n, gamma=gamma)
 
@@ -242,6 +248,7 @@ def write_manifest(cfg: ExperimentConfig, wall_time: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_lift(cfg: ExperimentConfig) -> None:
+    _lift_cells(cfg, cfg.horizon)
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     out = _ensure_out(cfg)
@@ -265,6 +272,7 @@ def _greedy_task(args):
 
 
 def _cmd_greedy(cfg: ExperimentConfig) -> None:
+    _lift_cells(cfg, cfg.horizon)
     out = _ensure_out(cfg)
     rows = _parallel_map(_greedy_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
     write_csv(os.path.join(out, "greedy.csv"),
@@ -320,6 +328,7 @@ def _solve_task(args):
 
 
 def _cmd_solve(cfg: ExperimentConfig) -> None:
+    _lift_cells(cfg, cfg.horizon)
     out = _ensure_out(cfg)
     model = _build_model(cfg)
     m = min(8, model.n_modes)
@@ -344,7 +353,7 @@ def _require_unit_horizon(cfg: ExperimentConfig) -> None:
     if cfg.horizon < 1.0:
         raise ConfigError(f"config key horizon must be at least 1 for {cfg.command}, "
                           f"got {cfg.horizon!r}")
-    dt = cfg.horizon / int(round(cfg.horizon * cfg.steps_per_unit))
+    dt = cfg.horizon / _lift_cells(cfg, cfg.horizon)
     if abs(round(1.0 / dt) * dt - 1.0) > 1e-9:
         raise ConfigError(f"config key horizon: {cfg.horizon!r} at {cfg.steps_per_unit} steps "
                           f"per unit gives a grid step of {dt!r}, which does not divide one "

@@ -19,6 +19,11 @@ gamma - eta, stays below the threshold chi; N counts the steps. W is
 superadditive, so it is monotone in the right endpoint: each greedy step scans
 from its start and stops at the first column past the threshold, so the whole
 scan costs O(n * (longest step + BLOCK)) time.
+
+window_counts counts many equal-length windows at once. The windows jump from
+step end to step end in lockstep, and each grid point a jump reaches gets one
+DP row, built CHUNK rows at a time and shared by every window stepping from
+it. Single windows stay on the scan above.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
-from .roughpath import BLOCK, GridRoughPath, _second_level_block
+from .roughpath import BLOCK, CHUNK, GridRoughPath, _second_level_block, _window_starts
 
 
 class GreedyPartition:
@@ -59,9 +64,10 @@ def _cost_block(raw: np.ndarray, xx: np.ndarray, k0: int, dt: float, eta: float,
     Rows run over the whole window raw[0], ..., raw[-1]; columns over its grid
     points from k0 on. Only entries with i < k0 + k are meaningful. The lag
     weight depends on k0 + k - i alone, so it is evaluated once per lag and
-    read through a Toeplitz view.
+    read through a Toeplitz view. Leading axes of raw and xx index a batch of
+    windows of one length.
     """
-    rows = raw.size
+    rows = raw.shape[-1]
     p1 = 1.0 / g
     p2 = 0.5 / g
     wexp = -eta / g
@@ -69,7 +75,7 @@ def _cost_block(raw: np.ndarray, xx: np.ndarray, k0: int, dt: float, eta: float,
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.where(lag > 0, lag ** wexp, 0.0) if eta > 0 else np.where(lag > 0, 1.0, 0.0)
     weight = sliding_window_view(weight, rows - k0)[::-1]
-    cost = np.abs(raw[None, k0:] - raw[:, None]) ** p1
+    cost = np.abs(raw[..., None, k0:] - raw[..., :, None]) ** p1
     cost += np.abs(_second_level_block(raw, xx, k0)) ** p2
     cost *= weight
     return cost
@@ -122,6 +128,16 @@ def control_w(rp: GridRoughPath, eta: float, s: float, t: float) -> float:
     return float(dp[m])
 
 
+def _coarse_cell(rp: GridRoughPath, chi: float, cur: int, w_cell: float) -> NumericsError:
+    """The error of a greedy step from grid point cur whose first cell has
+    control w_cell ** (1 / (gamma - eta)) above chi."""
+    t_bad = rp.t0 + cur * rp.dt
+    return NumericsError(
+        f"grid too coarse for chi={chi}: cell [{t_bad}, {t_bad + rp.dt}] "
+        f"already exceeds the greedy threshold",
+        cell_left=t_bad, chi=chi, w_cell=w_cell)
+
+
 def _greedy_scan(rp: GridRoughPath, eta: float, chi: float, i0: int, i1: int):
     """Greedy step indices in [i0, i1]; raises when one cell already violates."""
     g = rp.gamma - eta
@@ -130,11 +146,7 @@ def _greedy_scan(rp: GridRoughPath, eta: float, chi: float, i0: int, i1: int):
     while cur < i1:
         dp, last_ok = _control_dp(rp, eta, cur, i1, chi)
         if last_ok == 0:
-            t_bad = rp.t0 + cur * rp.dt
-            raise NumericsError(
-                f"grid too coarse for chi={chi}: cell [{t_bad}, {t_bad + rp.dt}] "
-                f"already exceeds the greedy threshold",
-                cell_left=t_bad, chi=chi, w_cell=float(dp[1] ** g))
+            raise _coarse_cell(rp, chi, cur, float(dp[1] ** g))
         cur += last_ok
         cuts.append(cur)
     return cuts
@@ -160,6 +172,85 @@ def greedy_times(rp: GridRoughPath, eta: float, chi: float, interval=None) -> Gr
 def count_in_window(rp: GridRoughPath, eta: float, chi: float, s: float, t: float) -> int:
     """Number of greedy steps N on [s, t]."""
     return greedy_times(rp, eta, chi, (s, t)).count
+
+
+def _step_lengths(raw: np.ndarray, xx: np.ndarray, dt: float, eta: float, g: float,
+                  chi: float):
+    """Greedy step length from the first point of each window of the batch
+    raw, xx, and the one-cell dp of that step.
+
+    Row b is _control_dp's dp from raw[b, 0], by the same costs and the same
+    maxima of single sums. The step ends before the first column k with
+    dp[k] ** g > chi, or at the last column. dp is nondecreasing and pow is
+    monotone, so the violations form a suffix of the row, found by bisection
+    with the scan's scalar pow.
+    """
+    cells = raw.shape[-1] - 1
+    cost = _cost_block(raw, xx, 1, dt, eta, g)
+    dp = np.zeros(raw.shape)
+    best = cost[:, 0]
+    for k in range(1, cells + 1):
+        dp[:, k] = best[:, k - 1]
+        np.maximum(best[:, k:], dp[:, k, None] + cost[:, k, k:], out=best[:, k:])
+    lengths = []
+    for row in dp.tolist():
+        lo, hi = 1, cells + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if row[mid] ** g <= chi:
+                lo = mid + 1
+            else:
+                hi = mid
+        lengths.append(lo - 1)
+    return lengths, dp[:, 1]
+
+
+def window_counts(rp: GridRoughPath, eta: float, chi: float, starts, cells: int) -> list[int]:
+    """Greedy counts N of the windows [t_a, t_(a + cells)], a in starts.
+
+    starts are grid indices, in any order and with repeats. The windows walk
+    their greedy steps in lockstep; each round computes the DP rows of the
+    grid points first reached in it, CHUNK rows at a time, so a point's row
+    is built once however many windows step from it. Each count equals
+    count_in_window over the same window, and a window whose scan meets a
+    cell above chi raises the scan's NumericsError; the first such window in
+    the order of starts is the one reported.
+    """
+    _check_eta(rp, eta)
+    if chi <= 0:
+        raise ValueError("chi must be positive")
+    starts = _window_starts(rp, starts, cells)
+    g = rp.gamma - eta
+    # the path extended by zero increments, so a row of cells columns fits
+    # from every grid point; a window caps its steps at its own end, which
+    # the extension never reaches
+    raw = sliding_window_view(np.concatenate([rp.x_raw, np.full(cells, rp.x_raw[-1])]),
+                              cells + 1)
+    xx = sliding_window_view(np.concatenate([rp.xx, np.zeros(cells)]), cells)
+    # end of the step from each grid point (-1: row not built) and its dp[1];
+    # the last entry belongs to the path's end, where steps only finish
+    step_end = np.full(rp.n_cells + 1, -1)
+    first = np.empty(rp.n_cells + 1)
+    cur, end = starts.copy(), starts + cells
+    counts = np.zeros(starts.size, dtype=int)
+    walking = np.ones(starts.size, dtype=bool)
+    stuck = np.zeros(starts.size, dtype=bool)
+    while walking.any():
+        new = np.unique(cur[walking & (step_end[cur] < 0)])
+        for c in range(0, new.size, CHUNK):
+            rows = new[c:c + CHUNK]
+            lengths, first[rows] = _step_lengths(raw[rows], xx[rows], rp.dt, eta, g, chi)
+            step_end[rows] = rows + lengths
+        nxt = step_end[cur]
+        stuck |= walking & (nxt == cur)
+        walking &= ~stuck
+        cur[walking] = np.minimum(nxt, end)[walking]
+        counts[walking] += 1
+        walking &= cur < end
+    if stuck.any():
+        bad = int(cur[np.argmax(stuck)])
+        raise _coarse_cell(rp, chi, bad, float(first[bad] ** g))
+    return counts.tolist()
 
 
 def control_w_all_pairs(rp: GridRoughPath, eta: float, interval=None) -> np.ndarray:

@@ -32,6 +32,10 @@ _GRID_RTOL = 1e-9
 # suprema here and the greedy DP); the 32-cell unit windows of the
 # absorbing-radius pipeline fit in one block
 BLOCK = 64
+# windows evaluated together by the batched window kernels (window_seminorms
+# here, greedy.window_counts): memory is O(CHUNK * cells^2) whatever the
+# number of windows
+CHUNK = 16
 
 
 class GridRoughPath:
@@ -241,13 +245,22 @@ def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndar
     xxc the cell prefix sum and a[m] = sum_{k<m} raw[k]*(raw[k+1]-raw[k]),
     both accumulated from the window start. np.cumsum adds sequentially, so a
     window cut short at any column carries the same prefix sums, bit for bit,
-    as the full window. Entries with j <= i are not meaningful.
+    as the full window. Entries with j <= i are not meaningful. Leading axes
+    of raw and xx index a batch of windows of one length.
     """
-    d = np.diff(raw)
-    xxc = np.concatenate([[0.0], np.cumsum(xx)])
-    a = np.concatenate([[0.0], np.cumsum(raw[:-1] * d)])
-    return (xxc[None, c0:] - xxc[:, None]) + (a[None, c0:] - a[:, None]) \
-        - raw[:, None] * (raw[None, c0:] - raw[:, None])
+    xxc = np.zeros(raw.shape)
+    np.cumsum(xx, axis=-1, out=xxc[..., 1:])
+    a = np.zeros(raw.shape)
+    np.cumsum(raw[..., :-1] * np.diff(raw), axis=-1, out=a[..., 1:])
+    xi, ai, ri = xxc[..., :, None], a[..., :, None], raw[..., :, None]
+    xj, aj, rj = xxc[..., None, c0:], a[..., None, c0:], raw[..., None, c0:]
+    return (xj - xi) + (aj - ai) - ri * (rj - ri)
+
+
+def _lag_table(m: int, dt: float, p: float) -> np.ndarray:
+    """table[m - 1 + lag] = (lag * dt) ** p for lag = 1, ..., m, and inf for
+    lag = 1 - m, ..., 0; each weight by Python's scalar pow."""
+    return np.array([math.inf] * m + [(lag * dt) ** p for lag in range(1, m + 1)])
 
 
 def _pair_sups(values, m: int, dt: float, exponents) -> list[float]:
@@ -262,9 +275,7 @@ def _pair_sups(values, m: int, dt: float, exponents) -> list[float]:
     the largest value / weight of a lag is the lag's largest value over its
     weight: the result equals the lag-by-lag supremum bit for bit.
     """
-    # tables[k][m - 1 + lag] is the weight of the lag, for lag = 1 - m, ..., m
-    tables = [np.array([math.inf] * m + [(lag * dt) ** p for lag in range(1, m + 1)])
-              for p in exponents]
+    tables = [_lag_table(m, dt, p) for p in exponents]
     best = [0.0] * len(tables)
     c0 = 1
     with np.errstate(invalid="ignore"):  # inf / inf = nan on an ignored entry; fmax skips it
@@ -292,6 +303,42 @@ def holder_seminorm(rp: GridRoughPath, interval=None) -> HolderReport:
 
     sx, sxx = _pair_sups(values, raw.size - 1, rp.dt, (rp.gamma, 2.0 * rp.gamma))
     return HolderReport(sx, sxx, (rp.t0, rp.end_time) if interval is None else interval)
+
+
+def _window_starts(rp: GridRoughPath, starts, cells: int) -> np.ndarray:
+    """Grid indices a of the windows [t_a, t_(a + cells)] as an array; each
+    window must hold at least one cell and lie on the grid."""
+    starts = np.asarray(starts, dtype=np.intp)
+    if cells < 1 or starts.size and (starts.min() < 0 or starts.max() + cells > rp.n_cells):
+        raise ValueError(f"windows of {cells} cells must start in [0, {rp.n_cells - cells}]")
+    return starts
+
+
+def window_seminorms(rp: GridRoughPath, starts, cells: int):
+    """[X]_gamma and [XX]_2gamma of the windows [t_a, t_(a + cells)], a in starts.
+
+    starts are grid indices, in any order and with repeats. The windows are
+    evaluated CHUNK at a time, each pair value by the formulas of
+    holder_seminorm and over the same scalar-pow lag weights, so every entry
+    equals holder_seminorm over the same window bit for bit. Returns two
+    arrays aligned with starts.
+    """
+    starts = _window_starts(rp, starts, cells)
+    raw = sliding_window_view(rp.x_raw, cells + 1)
+    xx = sliding_window_view(rp.xx, cells)
+    # weight[i, j - 1] of the pair (i, j): inf where j <= i
+    weights = [sliding_window_view(_lag_table(cells, rp.dt, p), cells)[::-1]
+               for p in (rp.gamma, 2.0 * rp.gamma)]
+    sx = np.empty(starts.size)
+    sxx = np.empty(starts.size)
+    for c in range(0, starts.size, CHUNK):
+        chunk = starts[c:c + CHUNK]
+        r = raw[chunk]
+        vals = (np.abs(r[:, None, 1:] - r[:, :, None]),
+                np.abs(_second_level_block(r, xx[chunk], 1)))
+        for out, v, weight in zip((sx, sxx), vals, weights):
+            out[c:c + CHUNK] = np.fmax.reduce(v / weight, axis=(1, 2), initial=0.0)
+    return sx, sxx
 
 
 def rough_metric(a: GridRoughPath, b: GridRoughPath, interval=None) -> float:

@@ -404,6 +404,69 @@ class TestAbsorbingRadius:
         assert ratios[-1] < ratios[0]
 
 
+def ref_absorbing_radius(rp, constants, truncation_k, eps_points):
+    """The per-window loop that the batched window kernels replaced: one greedy
+    scan and one seminorm pass per (eps, k) window, in evaluation order."""
+    lam = constants.lam
+    best_sum, best_terms, best_eps, p1_val, p2_val = -math.inf, None, 0.0, 0.0, 0.0
+    for eps in att._grid_eps_values(rp, eps_points):
+        pc = att.eval_p_constants(rp, constants, (-eps, 1.0 - eps))
+        p1_val = max(p1_val, pc.p1)
+        p2_val = max(p2_val, pc.p2)
+        terms = np.empty(truncation_k)
+        prod = 1.0
+        for k in range(1, truncation_k + 1):
+            pc = att.eval_p_constants(rp, constants, (-k - eps, 1.0 - k - eps))
+            rho = pc.rho
+            h1 = constants.c_tilde_1 * constants.c_g * rho * rho * pc.p1
+            h2 = max(constants.c_tilde_a * math.exp(constants.lam),
+                     constants.c_tilde_1 * constants.c_g) * (1.0 + rho * rho * (1.0 + pc.p2))
+            terms[k - 1] = math.exp(-lam * k) * h2 * prod
+            prod *= 1.0 + h1
+        total = float(np.sum(terms))
+        if total > best_sum:
+            best_sum, best_terms, best_eps = total, terms, float(eps)
+    half = truncation_k // 2
+    ratios = best_terms[half + 1:] / np.maximum(best_terms[half:-1], 1e-300)
+    decay = float(np.max(ratios))
+    tail_bound = p1_val * (float(best_terms[-1]) * decay / (1.0 - decay))
+    return dict(radius=1.0 + p1_val * best_sum + p2_val + constants.delta_bar,
+                r_value=best_sum, series_terms=best_terms, p1_val=p1_val, p2_val=p2_val,
+                tail_bound=tail_bound, eps_argmax=best_eps)
+
+
+class TestAbsorbingWindowKernels:
+    @pytest.mark.parametrize("steps", [32, 64])
+    @pytest.mark.parametrize("eps_points", [1, 11, 33])
+    def test_matches_per_window_loop_bitwise(self, steps, eps_points):
+        cons = desk_constants(desk_model(c_g=5e-4))
+        trunc = 6
+        for seed, scale in ((0, 0.01), (1, 0.015), (2, 0.02)):
+            rp = scaled_lift(seed, trunc + 2.0, -(trunc + 1.0), steps=steps, scale=scale)
+            rep = att.absorbing_radius(rp, cons, truncation_k=trunc, eps_points=eps_points)
+            ref = ref_absorbing_radius(rp, cons, trunc, eps_points)
+            assert np.array_equal(rep.series_terms, ref.pop("series_terms"))
+            for key, value in ref.items():
+                assert getattr(rep, key) == value, key
+
+    def test_first_bad_window_in_evaluation_order(self):
+        # cells above chi at t = -5.5 and t = -2.5; the loop meets the window
+        # [-3, -2] (eps = 0, k = 3) before any window holding the earlier cell
+        cons = desk_constants(desk_model(c_g=5e-4))
+        rp = scaled_lift(4, 8.0, -7.0)
+        x = rp.x_raw.copy()
+        for t in (-5.5, -2.5):
+            x[rp.index(t) + 1:] += 1.0
+        rp = rpm.GridRoughPath(rp.t0, rp.dt, x, rp.xx, rp.gamma)
+        with pytest.raises(NumericsError) as ref:
+            ref_absorbing_radius(rp, cons, 6, 11)
+        with pytest.raises(NumericsError) as got:
+            att.absorbing_radius(rp, cons, truncation_k=6, eps_points=11)
+        assert ref.value.context["cell_left"] == -2.5
+        assert str(got.value) == str(ref.value)
+        assert got.value.context == ref.value.context
+
+
 class TestPullback:
     def test_contraction_with_zero_coefficients(self):
         model = desk_model()

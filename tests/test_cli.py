@@ -116,6 +116,8 @@ class TestExitCodes:
         # spans too short for the command: one cell, or less than a unit window
         ("lift", "steps_per_unit = 1\nhorizon = 1.0", None, "steps_per_unit"),
         ("solve", "steps_per_unit = 1\nhorizon = 1.0", None, "steps_per_unit"),
+        ("greedy", "steps_per_unit = 1\nhorizon = 1.0", None, "steps_per_unit"),
+        ("bounds", "steps_per_unit = 1\nhorizon = 1.0", None, "steps_per_unit"),
         ("ergodic", "horizon = 0.5", None, "horizon"),
         ("bounds", "horizon = 0.5", None, "horizon"),
         # a grid step that does not divide one unit: 42 cells on 1.3
@@ -125,7 +127,8 @@ class TestExitCodes:
         ("pullback", "cloud_radius = -1", None, "cloud_radius"),
     ], ids=["seed_offset", "steps_per_unit", "hurst", "trunc_k", "t_list_parse",
             "t_list_range", "eps_points", "cloud_points", "q_moment", "train_seeds",
-            "lift_one_cell", "solve_one_cell", "ergodic_short_horizon",
+            "lift_one_cell", "solve_one_cell", "greedy_one_cell", "bounds_one_cell",
+            "ergodic_short_horizon",
             "bounds_short_horizon", "ergodic_off_unit_grid", "bounds_off_unit_grid",
             "calib_margin", "cloud_radius"])
     def test_bad_value(self, tmp_path, monkeypatch, capsys, command, line, env, key):
@@ -135,8 +138,7 @@ class TestExitCodes:
         cfg.write_text(f"command = {command}\n{line}\nout = {tmp_path / 'o'}\n")
         assert run(["--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
-        if command not in ("lift", "solve"):  # these two sample after creating it
-            assert not (tmp_path / "o").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_bad_seed_list_option(self, tmp_path):
         assert run(["lift", "--seeds", "1,x", "--out", str(tmp_path / "o")]) == 2
@@ -165,6 +167,20 @@ class TestDeterminism:
         assert run(["greedy", "--seeds", "7", "--out", str(out1)]) == 0
         assert run(["--config", str(out1 / "manifest.txt"), "--out", str(out2)]) == 0
         assert (out1 / "greedy.csv").read_bytes() == (out2 / "greedy.csv").read_bytes()
+
+    def test_replay_of_manifest_with_retired_beta_shift(self, tmp_path):
+        # manifests of earlier versions carry beta_shift, a key no command
+        # read; they still replay, to the same bytes, whatever its value
+        cfg = small_config(tmp_path, "absorb")
+        one, old, replay = tmp_path / "one", tmp_path / "old.txt", tmp_path / "replay"
+        assert run(["--config", str(cfg), "--out", str(one)]) == 0
+        text = (one / "manifest.txt").read_text()
+        assert "beta_shift" not in text
+        old.write_text(text.replace("q_moment = 0.0\n", "q_moment = 0.0\nbeta_shift = 0.3\n"))
+        assert "beta_shift = 0.3" in old.read_text()
+        assert run(["--config", str(old), "--out", str(replay)]) == 0
+        assert (replay / "absorb.csv").read_bytes() == (one / "absorb.csv").read_bytes()
+        assert "beta_shift" not in (replay / "manifest.txt").read_text()
 
     def test_seed_offset_env(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a"

@@ -287,3 +287,101 @@ def test_long_horizon_in_linear_memory():
         tracemalloc.stop()
     assert gp.count > 1 and w > 0
     assert peak < 64 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# batched counts of equal-length windows against the per-window scan
+# ---------------------------------------------------------------------------
+
+def noisy_path(cells, extra=40):
+    """A path of cells + extra cells whose xx is not the geometric lift."""
+    rng = np.random.default_rng(cells)
+    n = cells + extra
+    x = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.05, n))])
+    return rpm.GridRoughPath(0.25, 1.0 / 32, x, rng.normal(0.0, 0.01, n), GAMMA)
+
+
+def mixed_starts(last):
+    """Unordered starts with repeats, both path ends, more than one chunk."""
+    starts = [last, 0, last // 2, 0, last] + list(range(last, -1, -3))
+    assert len(starts) > rpm.CHUNK and len(set(starts)) < len(starts)
+    return starts
+
+
+def per_window_counts(rp, eta, chi, starts, cells):
+    return [greedy.count_in_window(rp, eta, chi, rp.t0 + a * rp.dt, rp.t0 + (a + cells) * rp.dt)
+            for a in starts]
+
+
+class TestWindowCounts:
+    @pytest.mark.parametrize("cells", [1, 31, 32, 64, 65])
+    def test_matches_count_in_window(self, cells):
+        # shifted paths, windows that end at the path's end, and steps from
+        # near the end, whose DP rows run past it
+        base = noisy_path(cells)
+        for k in (0, 7):
+            rp = rpm.shift(base, k * base.dt)
+            starts = mixed_starts(rp.n_cells - cells)
+            for eta, chi in ((ETA, 0.3), (ETA, 0.6), (0.0, 0.3)):
+                counts = greedy.window_counts(rp, eta, chi, starts, cells)
+                assert counts == per_window_counts(rp, eta, chi, starts, cells)
+
+    def test_threshold_between_array_and_scalar_pow(self):
+        # each chi is the lower of numpy's array pow and the scalar pow of a
+        # window's W ** (gamma - eta), on W where the two differ: only the
+        # scan's scalar pow then ends the steps where the scan does
+        rp = noisy_path(32)
+        g = GAMMA - ETA
+        w = greedy.control_w_all_pairs(rp, ETA)
+        pows = [(float(np.power(np.array([v]), g)[0]), v ** g) for i in range(rp.n_cells)
+                for v in w[i, i + 1:i + 33]]
+        chis = [min(p) for p in pows if p[0] != p[1]][:8] or [pows[10][1]]
+        starts = range(rp.n_cells - 32 + 1)
+
+        def outcome(count):
+            try:
+                return count(rp, ETA, chi, starts, 32)
+            except NumericsError as exc:  # a chi below some one-cell W
+                return str(exc), exc.context
+
+        for chi in chis:
+            assert outcome(greedy.window_counts) == outcome(per_window_counts)
+
+    def test_first_bad_window_in_caller_order(self):
+        # two cells above chi; the windows are listed so that the later
+        # cell's window comes first, and a clean window precedes both
+        cells = 32
+        rp = noisy_path(cells, extra=100)
+        x = rp.x_raw.copy()
+        x[101:] += 5.0
+        x[41:] += 5.0
+        rp = rpm.GridRoughPath(rp.t0, rp.dt, x - x[0], rp.xx, GAMMA, x_raw=x)
+        starts = [0, 90, 20, 95]
+        with pytest.raises(NumericsError) as ref:
+            per_window_counts(rp, ETA, 0.3, starts, cells)
+        with pytest.raises(NumericsError) as got:
+            greedy.window_counts(rp, ETA, 0.3, starts, cells)
+        assert ref.value.context["cell_left"] == rp.t0 + 100 * rp.dt
+        assert str(got.value) == str(ref.value)
+        assert got.value.context == ref.value.context
+
+    def test_rejects_windows_off_the_grid(self):
+        rp = noisy_path(32)
+        for starts, cells in (([0], 0), ([-1], 32), ([rp.n_cells - 31], 32)):
+            with pytest.raises(ValueError):
+                greedy.window_counts(rp, ETA, 0.3, starts, cells)
+
+    def test_chunked_memory(self):
+        # every unit window of a 14-unit, 32-step path: one batch of all 417
+        # windows would hold several 417 x 33 x 32 float arrays (3.5 MB each)
+        xs = 0.01 * rpm.sample_fbm(0.5, 14 * 32, 2, horizon=14.0)
+        rp = rpm.lift_piecewise_linear(xs, -13.0, 1.0 / 32, gamma=0.49)
+        starts = range(rp.n_cells - 32 + 1)
+        tracemalloc.start()
+        try:
+            counts = greedy.window_counts(rp, 0.05, 0.019, starts, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert min(counts) >= 1
+        assert peak < 2 * 2 ** 20

@@ -1,5 +1,6 @@
 """Lifts, fBm sampling, seminorms, metric, shifts."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -284,6 +285,36 @@ class TestPairSupKernel:
         assert rep.rho > 0 and dist > 0
         assert peak_holder < 32 * 2 ** 20
         assert peak_metric < 32 * 2 ** 20
+
+
+class TestWindowSeminorms:
+    @pytest.mark.parametrize("cells", [1, 31, 32, 64, 65])
+    def test_matches_holder_seminorm_bitwise(self, cells):
+        # shifted paths; starts unordered, repeated, at both path ends and
+        # more than one chunk of them; xx is not the geometric lift; lag
+        # weights on which numpy's array pow and the scalar pow differ
+        rng = np.random.default_rng(cells)
+        n = cells + 40
+        # with a drift, the suprema sit at the longest lags
+        x = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, 0.3, n))])
+        for (dt, gamma), drift, k in itertools.product(((1.0 / 32, 0.49), (0.1, 0.4)),
+                                                       (0.0, 1.0), (0, 7)):
+            base = rpm.GridRoughPath(0.25, dt, x + drift * np.arange(n + 1),
+                                     rng.normal(0.0, 0.1, n), gamma)
+            rp = rpm.shift(base, k * base.dt)
+            last = rp.n_cells - cells
+            starts = [last, 0, last // 2, 0, last] + list(range(last, -1, -3))
+            assert len(starts) > rpm.CHUNK
+            sx, sxx = rpm.window_seminorms(rp, starts, cells)
+            for a, got_x, got_xx in zip(starts, sx.tolist(), sxx.tolist()):
+                rep = rpm.holder_seminorm(rp, (rp.t0 + a * rp.dt, rp.t0 + (a + cells) * rp.dt))
+                assert (got_x, got_xx) == (rep.seminorm_x, rep.seminorm_xx)
+
+    def test_rejects_windows_off_the_grid(self):
+        rp = lift_linear(64)
+        for starts, cells in (([0], 0), ([-1], 32), ([33], 32)):
+            with pytest.raises(ValueError):
+                rpm.window_seminorms(rp, starts, cells)
 
 
 class TestShift:
