@@ -439,17 +439,25 @@ def _pullback_task(args):
                                   eps_points=cfg.eps_points, model=model,
                                   y0=model.state(cloud[0]))
     rows = []
+    blow_ups = []
     for row in report.rows:
         rows.append((row.seed, row.t, row.diameter,
                      "" if np.isnan(row.semidistance) else row.semidistance,
                      absorb.radius, int(bool(absorb.accepted))))
-    return rows
+        if row.blew_up:
+            blow_ups.append(f"pullback: seed {row.seed}, t = {row.t}: "
+                            f"{row.blew_up} of {len(cloud)} trajectories blew up")
+    return rows, blow_ups
 
 
 def _cmd_pullback(cfg: ExperimentConfig) -> None:
     out = _ensure_out(cfg)
     results = _parallel_map(_pullback_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
-    rows = [row for chunk in results for row in chunk]
+    # reported here, in seed order, whichever worker ran the seed
+    for _, blow_ups in results:
+        for line in blow_ups:
+            print(line, file=sys.stderr)
+    rows = [row for chunk, _ in results for row in chunk]
     write_csv(os.path.join(out, "pullback.csv"),
               ["seed", "t", "diameter", "semidistance", "radius", "accepted"], rows)
 

@@ -236,7 +236,9 @@ def window_counts(rp: GridRoughPath, eta: float, chi: float, starts, cells: int)
     walking = np.ones(starts.size, dtype=bool)
     stuck = np.zeros(starts.size, dtype=bool)
     while walking.any():
-        new = np.unique(cur[walking & (step_end[cur] < 0)])
+        # distinct rows to build, sorted (np.unique would import numpy.ma)
+        new = np.sort(cur[walking & (step_end[cur] < 0)])
+        new = new[np.diff(new, prepend=-1) != 0]
         for c in range(0, new.size, CHUNK):
             rows = new[c:c + CHUNK]
             lengths, first[rows] = _step_lengths(raw[rows], xx[rows], rp.dt, eta, g, chi)

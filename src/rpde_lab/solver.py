@@ -18,6 +18,14 @@ DG(y_k)[G(y_k)] (SpectralModel.g_and_dg).
 The scheme consumes per-cell increments of the raw sampled noise, so solving
 over [0, s+t] and solving over [0, s] followed by the shifted noise on [0, t]
 produce bit-identical states (exact cocycle property on grids).
+
+A pullback cloud needs only the final states of many trajectories driven by
+one noise path from several start times. _evolve_lockstep walks that grid
+once: rows join at their start cell, rows whose coefficients are equal byte
+for byte merge before each step, and each distinct row is stepped once by the
+step solve_mild takes. Trajectories that synchronize in floating point (a
+contracting cloud does) thus share their remaining steps, and every final
+state is bitwise the one solve_mild reaches.
 """
 
 from __future__ import annotations
@@ -102,6 +110,23 @@ def rough_convolution(model: SpectralModel, z: ControlledPath, rp: GridRoughPath
     return SpectralState(acc, model.alpha - 2.0 * gamma + beta_out)
 
 
+_BLOW_CAP = 1e150  # declare divergence before overflow pollutes the maps
+
+
+def _initial_coeffs(model: SpectralModel, y0) -> np.ndarray:
+    coeffs = (y0 if isinstance(y0, SpectralState) else SpectralState(y0, model.alpha)).coeffs
+    if coeffs.shape != (model.n_modes,):
+        raise ValueError("initial state must carry one coefficient per mode")
+    return coeffs
+
+
+def _euler_step(model: SpectralModel, cur: np.ndarray, work, decay: np.ndarray,
+                step: float, x: float, xx: float):
+    """One exponential Euler step from the coefficient row cur: (G(cur), next row)."""
+    g, dg_g = model.g_and_dg(cur, work)
+    return g, decay * (cur + model.f_values(cur) * step + g * x + dg_g * xx)
+
+
 def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
                horizon: float | None = None, cells_per_step: int = 1) -> ControlledPath:
     """Exponential rough Euler trajectory driven by rp, started at y0.
@@ -111,9 +136,7 @@ def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
     finite or exceeds 1e150, and a non-finite y' row, abort with a
     NumericsError naming the first bad time (t_bad).
     """
-    coeffs = (y0 if isinstance(y0, SpectralState) else SpectralState(y0, model.alpha)).coeffs
-    if coeffs.shape != (model.n_modes,):
-        raise ValueError("initial state must carry one coefficient per mode")
+    coeffs = _initial_coeffs(model, y0)
     if cells_per_step < 1 or rp.n_cells % cells_per_step:
         raise ValueError("cells_per_step must divide the cell count")
     n_cells = rp.n_cells
@@ -134,15 +157,10 @@ def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
     y = np.empty((n_steps + 1, model.n_modes))
     yp = np.empty_like(y)
     y[0] = coeffs
-    blow_cap = 1e150  # declare divergence before overflow pollutes the maps
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            cur = y[k]
-            g, dg_g = model.g_and_dg(cur, work)
-            yp[k] = g
-            drift = model.f_values(cur) * step
-            nxt = decay * (cur + drift + g * x_step[k] + dg_g * xx_step[k])
-            if not np.abs(nxt).max() <= blow_cap:  # also true for NaN
+            yp[k], nxt = _euler_step(model, y[k], work, decay, step, x_step[k], xx_step[k])
+            if not np.abs(nxt).max() <= _BLOW_CAP:  # also true for NaN
                 t_bad = rp.t0 + (k + 1) * cells_per_step * rp.dt
                 raise NumericsError(f"trajectory blew up at t = {t_bad}", t_bad=t_bad)
             y[k + 1] = nxt
@@ -152,6 +170,49 @@ def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
         t_bad = float(times[np.argmin(np.isfinite(yp).all(axis=1))])
         raise NumericsError(f"y' = G(y) is not finite at t = {t_bad}", t_bad=t_bad)
     return ControlledPath(times, y, yp, rp.gamma)
+
+
+def _evolve_lockstep(model: SpectralModel, rp: GridRoughPath, end: int, entries) -> list:
+    """Final states at grid index end of trajectories driven by one path.
+
+    entries holds (start index, initial state) pairs. Each entry's trajectory
+    takes the steps solve_mild takes on the window of rp from its start to
+    end, but the entries move in lockstep: a row joins at its start cell,
+    rows equal byte for byte merge before each step, and each distinct row
+    is stepped once. Returns one coefficient array per entry, or None where
+    solve_mild would raise a NumericsError: a step beyond 1e150 or non-finite,
+    or a non-finite G at the end (a non-finite G earlier makes its own step
+    non-finite).
+    """
+    joins = {}
+    for idx, (start, y0) in enumerate(entries):
+        coeffs = _initial_coeffs(model, y0)
+        if not 0 <= start < end <= rp.n_cells:
+            raise ValueError("each trajectory must start on the grid before its end")
+        joins.setdefault(start, []).append((idx, coeffs))
+    final = [None] * len(entries)
+    first = min(joins, default=end)
+    decay = model.semigroup_factors(rp.dt)
+    x_step = np.diff(rp.x_raw[first:end + 1]).tolist()
+    xx_step = rp.xx[first:end].tolist()
+    work = model.kernel_work()
+    live = {}  # row bytes -> (row, indices of the entries it carries)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(first, end):
+            for idx, coeffs in joins.get(c, ()):
+                live.setdefault(coeffs.tobytes(), (coeffs, []))[1].append(idx)
+            stepped = {}
+            for row, members in live.values():
+                nxt = _euler_step(model, row, work, decay, rp.dt,
+                                  x_step[c - first], xx_step[c - first])[1]
+                if np.abs(nxt).max() <= _BLOW_CAP:
+                    stepped.setdefault(nxt.tobytes(), (nxt, []))[1].extend(members)
+            live = stepped
+        for row, members in live.values():
+            if np.isfinite(model.g_values(row, work)).all():
+                for idx in members:
+                    final[idx] = row
+    return final
 
 
 def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPath,

@@ -89,8 +89,13 @@ def mittag_leffler_array(beta: float, c: float, z, horizon: float = OVERFLOW_HOR
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def mittag_leffler(beta: float, c: float, z: float, horizon: float = OVERFLOW_HORIZON) -> float:
-    """Series value of ml(beta, c, z) with term-ratio stopping."""
+    """Series value of ml(beta, c, z) with term-ratio stopping.
+
+    Memoized on the arguments: every BoundConstants derivation asks for the
+    same ml(1 - sigma_f, 1, z_min).
+    """
     return float(mittag_leffler_array(beta, c, np.asarray([z]), horizon)[0])
 
 

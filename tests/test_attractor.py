@@ -467,7 +467,96 @@ class TestAbsorbingWindowKernels:
         assert got.value.context == ref.value.context
 
 
+def ref_pullback_estimate(model, ensemble, t_list, cloud):
+    """The per-point solve_mild loop that the lockstep evolution replaced."""
+    t_list = sorted(float(t) for t in t_list)
+    cloud = np.asarray(cloud, dtype=float)
+    rows = []
+    evolved_map = {}
+    converged = {}
+    for seed, rp in ensemble:
+        prev = None
+        semis = []
+        for t in t_list:
+            window = rp.window(-t, 0.0)
+            pts = []
+            blew = 0
+            for point in cloud:
+                try:
+                    traj = solver.solve_mild(model, point, window)
+                    pts.append(traj.y[-1])
+                except NumericsError:
+                    blew += 1
+            if not pts:
+                raise NumericsError(f"every trajectory blew up for seed {seed} at t = {t}")
+            pts = np.asarray(pts)
+            diam = att.cloud_diameter(model, pts)
+            semi = math.nan if prev is None else att.hausdorff_semidistance(model, prev, pts)
+            if prev is not None:
+                semis.append(semi)
+            rows.append(att.PullbackRow(seed, t, diam, semi, blew))
+            evolved_map[(seed, t)] = pts
+            prev = pts
+        decreasing = all(b < a for a, b in zip(semis, semis[1:])) if len(semis) > 1 else True
+        converged[seed] = decreasing and (not semis or semis[-1] < 1e-6 * (1 + semis[0]))
+    return att.PullbackReport(tuple(rows), evolved_map, converged)
+
+
+def assert_same_report(got, want):
+    assert len(got.rows) == len(want.rows)
+    for a, b in zip(got.rows, want.rows):
+        assert (a.seed, a.t, a.diameter, a.blew_up) == (b.seed, b.t, b.diameter, b.blew_up)
+        assert a.semidistance == b.semidistance or (math.isnan(a.semidistance)
+                                                    and math.isnan(b.semidistance))
+    assert got.evolved.keys() == want.evolved.keys()
+    assert all(np.array_equal(got.evolved[k], want.evolved[k]) for k in want.evolved)
+    assert got.converged == want.converged
+
+
 class TestPullback:
+    # a strong linear diffusion whose growth over four units passes 1e150
+    # from unit states but not from states of size 1e-100
+    BLOWUP_MODEL = dict(n_modes=2, lambda_a=0.5, c_g=100.0)
+
+    def test_partial_blowup_matches_per_point_loop(self):
+        model = SpectralModel(**self.BLOWUP_MODEL)
+        cons = desk_constants(model)
+        cloud = np.array([[1.0, 1.0], [2.0, -1.0], [1e-100, 2e-100], [3e-100, 0.0]])
+        ens = [(seed, scaled_lift(seed, 4.0, -4.0, scale=1.0)) for seed in (0, 1)]
+        rep = att.pullback_estimate(model, cons, ens, (4.0, 1.0, 2.0, 2.0), cloud)
+        assert_same_report(rep, ref_pullback_estimate(model, ens, (4.0, 1.0, 2.0, 2.0), cloud))
+        assert [r.blew_up for r in rep.rows] == [0, 0, 0, 2] * 2
+        assert rep.evolved[(0, 4.0)].shape == (2, 2)
+        assert rep.rows[3].diameter > 0.0
+
+    def test_every_trajectory_blew_up(self):
+        model = SpectralModel(**self.BLOWUP_MODEL)
+        cons = desk_constants(model)
+        ens = [(0, scaled_lift(0, 4.0, -4.0, scale=1.0))]
+        cloud = np.array([[1.0, 1.0], [2.0, -1.0]])
+        with pytest.raises(NumericsError) as want:
+            ref_pullback_estimate(model, ens, (1.0, 4.0), cloud)
+        with pytest.raises(NumericsError) as got:
+            att.pullback_estimate(model, cons, ens, (1.0, 4.0), cloud)
+        assert str(got.value) == str(want.value) == "every trajectory blew up for seed 0 at t = 4.0"
+
+    def test_nonfinite_point_is_a_value_error(self):
+        model = desk_model()
+        cons = desk_constants(model)
+        cloud = np.eye(16)[:2]
+        cloud[1, 3] = np.inf
+        with pytest.raises(ValueError):
+            att.pullback_estimate(model, cons, [(0, scaled_lift(0, 3.0, -2.0))], (1.0, 2.0), cloud)
+
+    def test_integral_cloud_matches_per_point_loop(self):
+        model = desk_model(c_g=2e-4, g_kind="integral")
+        cons = desk_constants(model)
+        cloud = np.random.default_rng(5).standard_normal((3, 16))
+        ens = [(s, scaled_lift(s, 8.0, -8.0)) for s in (5, 6)]
+        rep = att.pullback_estimate(model, cons, ens, (2.0, 4.0, 8.0), cloud)
+        assert_same_report(rep, ref_pullback_estimate(model, ens, (2.0, 4.0, 8.0), cloud))
+        assert rep.rows[2].diameter == 0.0  # collapsed in floating point
+
     def test_contraction_with_zero_coefficients(self):
         model = desk_model()
         cons = desk_constants(model)

@@ -2,6 +2,9 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -279,3 +282,37 @@ class TestPipelines:
         lines = (tmp_path / "o" / "pullback.csv").read_text().splitlines()
         assert lines[0] == "seed,t,diameter,semidistance,radius,accepted"
         assert len(lines) == 3
+
+    def test_pullback_reports_blow_ups_on_stderr(self, tmp_path, monkeypatch, capsys):
+        # the report only goes to stderr: pullback.csv is the same with and
+        # without blow-ups among the points
+        cfg = small_config(tmp_path, "pullback")
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+        assert capsys.readouterr().err == ""
+        real = cli.att.pullback_estimate
+
+        def partly_blown(*args):
+            rep = real(*args)
+            rows = tuple(dataclasses.replace(r, blew_up=1) if r.t == 2.0 else r
+                         for r in rep.rows)
+            return dataclasses.replace(rep, rows=rows)
+
+        monkeypatch.setattr(cli.att, "pullback_estimate", partly_blown)
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "blown")]) == 0
+        assert capsys.readouterr().err == \
+            "pullback: seed 1, t = 2.0: 1 of 2 trajectories blew up\n"
+        assert ((tmp_path / "blown" / "pullback.csv").read_bytes()
+                == (tmp_path / "plain" / "pullback.csv").read_bytes())
+
+    def test_absorb_and_pullback_leave_numpy_ma_unimported(self, tmp_path):
+        # np.unique imports numpy.ma lazily, about 13 ms of every process
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); from rpde_lab import cli\n"
+                "for cfg in sys.argv[2:]:\n"
+                "    assert cli.main(['--config', cfg, '--out', cfg + '.out']) == 0\n"
+                "print('numpy.ma' in sys.modules)")
+        cfgs = [str(small_config(tmp_path, command)) for command in ("absorb", "pullback")]
+        proc = subprocess.run([sys.executable, "-c", code, src, *cfgs],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

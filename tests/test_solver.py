@@ -222,6 +222,12 @@ class TestSolveMild:
         with pytest.raises(NumericsError, match="not finite") as err:
             solver.solve_mild(model, np.ones(1), rp)
         assert err.value.context["t_bad"] == 1.0
+        # the lockstep evolution drops that row; the row started at cell 4
+        # ends above the threshold and survives
+        got = solver._evolve_lockstep(model, rp, n, [(0, np.ones(1)), (4, np.ones(1))])
+        assert got[0] is None
+        tail = solver.solve_mild(model, np.ones(1), rp.window(0.5, 1.0))
+        assert np.array_equal(got[1], tail.y[-1])
 
     @pytest.mark.parametrize("cells_per_step", [1, 4])
     @pytest.mark.parametrize("horizon", [None, 1.25])
@@ -246,6 +252,100 @@ class TestSolveMild:
         rp = brownian_lift(9, n=32)
         with pytest.raises(ValueError):
             solver.solve_mild(model, np.ones(2), rp, horizon=2.0)
+
+
+def lockstep_reference(model, rp, end, entries):
+    """One solve_mild per entry: its final state, or None where it raises."""
+    finals = []
+    for start, y0 in entries:
+        try:
+            window = rp.window(rp.t0 + start * rp.dt, rp.t0 + end * rp.dt)
+            finals.append(solver.solve_mild(model, y0, window).y[-1])
+        except NumericsError:
+            finals.append(None)
+    return finals
+
+
+class TestLockstep:
+    """solver._evolve_lockstep: each distinct row stepped once, bitwise per-point states."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        # rows the evolver steps, counted at the Euler step it shares with solve_mild
+        calls = []
+        step = solver._euler_step
+
+        def counting(*args):
+            calls.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(solver, "_euler_step", counting)
+        return calls
+
+    @staticmethod
+    def check(model, rp, t_list, cloud, steps):
+        end = rp.index(0.0)
+        entries = [(rp.index(-t), point) for t in t_list for point in cloud]
+        want = lockstep_reference(model, rp, end, entries)
+        steps.clear()
+        got = solver._evolve_lockstep(model, rp, end, entries)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            assert b is None or np.array_equal(a, b)
+        return sum(end - start for start, _ in entries), got
+
+    def test_contracting_integral_cloud_merges(self, steps):
+        # the cloud collapses onto one state in floating point after about
+        # five units, so the t = 8 points share their last steps
+        model = SpectralModel(16, lambda_a=8.0, c_g=2e-4, g_kind="integral")
+        rp = brownian_lift(3, n=256, horizon=8.0, scale=0.01, t0=-8.0)
+        cloud = np.random.default_rng(3).standard_normal((3, 16))
+        row_steps, got = self.check(model, rp, (2.0, 4.0, 8.0), cloud, steps)
+        assert len(steps) < row_steps - 100
+        assert all(np.array_equal(got[6], y) for y in got[7:])
+
+    @pytest.mark.parametrize("kind", ["integral", "linear_drift"])
+    def test_cloud_that_never_merges(self, steps, kind):
+        if kind == "integral":
+            model = SpectralModel(16, lambda_a=8.0, c_g=2e-4, g_kind="integral")
+        else:
+            model = SpectralModel(12, lambda_a=2.0, sigma_f=0.25, sigma_g=0.2,
+                                  c_f=0.6, c_g=0.4)
+        rp = brownian_lift(16, n=96, horizon=3.0, scale=0.3, t0=-3.0)
+        cloud = np.random.default_rng(17).standard_normal((3, model.n_modes))
+        row_steps, _ = self.check(model, rp, (1.0, 2.0, 3.0), cloud, steps)
+        assert len(steps) == row_steps
+
+    def test_repeated_times_and_points_step_once(self, steps):
+        model = SpectralModel(12, lambda_a=2.0, sigma_f=0.25, sigma_g=0.2, c_f=0.6, c_g=0.4)
+        rp = brownian_lift(18, n=64, horizon=2.0, scale=0.3, t0=-2.0)
+        point = np.random.default_rng(19).standard_normal(12)
+        cloud = np.array([point, point, -point])
+        row_steps, _ = self.check(model, rp, (1.0, 2.0, 2.0), cloud, steps)
+        assert len(steps) == 2 * 64 + 2 * 32
+        assert row_steps == 6 * 64 + 3 * 32
+
+    def test_dropped_rows_match_solve_mild_errors(self, steps):
+        # the large points blow up on the long window only; the small ones and
+        # the zero state survive every window
+        model = SpectralModel(2, lambda_a=0.5, c_g=100.0)
+        rp = brownian_lift(0, n=128, horizon=4.0, scale=1.0, t0=-4.0)
+        cloud = np.array([[1.0, 1.0], [2.0, -1.0], [1e-100, 2e-100], [0.0, 0.0]])
+        _, got = self.check(model, rp, (1.0, 2.0, 4.0), cloud, steps)
+        assert [y is None for y in got] == [False] * 8 + [True, True, False, False]
+
+    def test_validation(self):
+        model = SpectralModel(2, lambda_a=1.0)
+        rp = brownian_lift(9, n=32)
+        assert solver._evolve_lockstep(model, rp, 32, []) == []
+        for start, end in ((4, 4), (-1, 8), (0, 33)):
+            with pytest.raises(ValueError, match="start on the grid"):
+                solver._evolve_lockstep(model, rp, end, [(start, np.ones(2))])
+        with pytest.raises(ValueError):
+            solver._evolve_lockstep(model, rp, 32, [(0, np.array([1.0, np.nan]))])
+        with pytest.raises(ValueError, match="one coefficient per mode"):
+            solver._evolve_lockstep(model, rp, 32, [(0, np.ones(3))])
 
 
 class TestControlledNorm:
