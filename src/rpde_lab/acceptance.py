@@ -19,7 +19,7 @@ import numpy as np
 from . import attractor as att
 from . import cli as cli_mod
 from . import greedy, gronwall, roughpath, solver, specfun
-from .cli import sample_lift, unit_cloud, unit_state
+from .cli import sample_lift, solve_seeds, unit_cloud, unit_state
 from .spectral import SpectralModel
 
 
@@ -268,22 +268,16 @@ def criterion_5() -> CriterionResult:
 # criterion 6: bound pipeline calibration and validation
 # ---------------------------------------------------------------------------
 
-def _bounds_case(model, seed: int):
-    rp = sample_lift(_FINE_NOISE, seed, 4.0, 0.0, 0.49)
-    traj = solver.solve_mild(model, unit_state(model, seed), rp)
-    return traj, rp
-
-
 def criterion_6() -> CriterionResult:
+    # the fixture of the bounds command: lifts over [0, 4], trajectories from unit states
     model = _bounds_model()
     cons = att.BoundConstants.derive(model, m_big=1.0, **_GREEDY_CONS)
-    train = [_bounds_case(model, seed) for seed in range(100)]
+    train = solve_seeds(_FINE_NOISE, model, cons.gamma, range(100))
     cons = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for t, r in train], cons,
                                margin=0.1)
     sol_viol = 0
     apr_viol = 0
-    for seed in range(1000, 1100):
-        traj, rp = _bounds_case(model, seed)
+    for traj, rp in solve_seeds(_FINE_NOISE, model, cons.gamma, range(1000, 1100)):
         sol_viol += not att.check_solution_bound(model, traj, rp, cons, (0.0, 1.0)).passed
         apr_viol += not att.apriori_bound(model, traj, rp, cons, 3.0).passed
     passed = sol_viol == 0 and apr_viol == 0

@@ -39,7 +39,7 @@ from .errors import ConfigError, NumericsError
 from .greedy import count_in_window, window_counts
 from .gronwall import discrete_gronwall
 from .roughpath import GridRoughPath, holder_seminorm, window_seminorms
-from .solver import ControlledPath, _evolve_lockstep, controlled_norm, solve_mild
+from .solver import ControlledPath, _evolve_lockstep, controlled_norm, solve_many
 from .spectral import SpectralModel, smoothing_constant
 from .specfun import certify_ml_bound, gamma_fn, mittag_leffler
 
@@ -745,6 +745,9 @@ def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
     the chained estimate. When a model and an initial state are supplied, the
     state is evolved over [-truncation_k, 0] and compared against the radius.
     """
+    if model is not None and y0 is not None:
+        return absorbing_radii(model, [(rp, y0)], constants, truncation_k, eps_points,
+                               ergodic)[0]
     constants.require_positive_gap_rate()
     if truncation_k < 2:
         raise ValueError("need at least two series terms")
@@ -815,17 +818,42 @@ def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
                              / (1.0 - math.exp(-rate)))
     tail = p1_val * tail_r  # propagated to the radius scale
     radius = 1.0 + p1_val * best_sum + p2_val + constants.delta_bar
-    accepted = None
-    final_norm = None
-    if model is not None and y0 is not None:
-        window = rp.window(float(-truncation_k), 0.0)
-        traj = solve_mild(model, y0, window)
-        final_norm = model.frac_norm(traj.y[-1], model.alpha)
-        accepted = final_norm <= radius
     return AbsorbReport(radius=radius, r_value=best_sum, series_terms=best_terms,
                         truncation_k=truncation_k, p1_val=p1_val, p2_val=p2_val,
                         tail_bound=tail, eps_argmax=best_eps,
-                        accepted=accepted, final_norm=final_norm)
+                        accepted=None, final_norm=None)
+
+
+def absorbing_radii(model: SpectralModel, cases, constants: BoundConstants,
+                    truncation_k: int = 40, eps_points: int = 11,
+                    ergodic: ErgodicReport | None = None) -> list:
+    """absorbing_radius of each (realization, initial state) case, state evolved.
+
+    The evolutions over [-truncation_k, 0] are solved as one block
+    (solver.solve_many), so the realizations must share one grid. Errors
+    come in the order of case-by-case calls: a case's radius error before
+    its solve error, and both before anything of a later case.
+    """
+    cases = list(cases)
+    reports = []
+    error = None
+    for rp, _ in cases:
+        try:
+            reports.append(absorbing_radius(rp, constants, truncation_k, eps_points,
+                                            ergodic=ergodic))
+        except (NumericsError, ValueError) as exc:
+            error = exc  # raised once the cases before it are solved
+            break
+    solved = cases[:len(reports)]
+    trajs = solve_many(model, [y0 for _, y0 in solved],
+                       [rp.window(float(-truncation_k), 0.0) for rp, _ in solved])
+    if error is not None:
+        raise error
+    out = []
+    for rep, traj in zip(reports, trajs):
+        final_norm = model.frac_norm(traj.y[-1], model.alpha)
+        out.append(replace(rep, accepted=final_norm <= rep.radius, final_norm=final_norm))
+    return out
 
 
 # ---------------------------------------------------------------------------

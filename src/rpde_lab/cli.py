@@ -25,6 +25,7 @@ import platform
 import sys
 import time
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -211,16 +212,21 @@ def unit_cloud(model: SpectralModel, n_points: int, radius: float = 1.0) -> np.n
     return cloud
 
 
-def _parallel_map(fn, items, jobs: int):
-    """Ordered map; results keyed by submission order for determinism.
+def _parallel_map(fn, items, jobs: int) -> list:
+    """fn over contiguous chunks of items, one chunk per worker, joined in order.
 
-    Starts at most one worker per item and per CPU, whatever jobs asks for.
+    fn maps a chunk (a list of items) to one result per item. Starts at most
+    one worker per item and per CPU, whatever jobs asks for; the chunk sizes
+    differ by at most one, so the results do not depend on the worker count.
     """
+    items = list(items)
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(item) for item in items]
+        return list(fn(items))
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    chunks = [items[a:b] for a, b in zip(cuts, cuts[1:])]
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return [result for part in pool.map(fn, chunks) for result in part]
 
 
 def _ensure_out(cfg: ExperimentConfig) -> str:
@@ -260,8 +266,12 @@ def _cmd_lift(cfg: ExperimentConfig) -> None:
             print(f"seed {seed}: [X] = {rep.seminorm_x:.6g}  [XX] = {rep.seminorm_xx:.6g}")
 
 
-def _greedy_task(args):
-    cfg, seed = args
+def _each_seed(task, cfg: ExperimentConfig, seeds) -> list:
+    """A chunk task that runs task(cfg, seed) seed by seed."""
+    return [task(cfg, seed) for seed in seeds]
+
+
+def _greedy_task(cfg: ExperimentConfig, seed: int):
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     rp = sample_lift(cfg, seed, cfg.horizon, 0.0, cons.gamma)
@@ -274,7 +284,7 @@ def _greedy_task(args):
 def _cmd_greedy(cfg: ExperimentConfig) -> None:
     _lift_cells(cfg, cfg.horizon)
     out = _ensure_out(cfg)
-    rows = _parallel_map(_greedy_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
+    rows = _parallel_map(partial(_each_seed, _greedy_task, cfg), cfg.seeds, cfg.jobs)
     write_csv(os.path.join(out, "greedy.csv"),
               ["interval", "N", "W", "chi", "eta"], rows)
 
@@ -313,18 +323,26 @@ def _traj_rows(model: SpectralModel, path: solver.ControlledPath):
     return rows
 
 
-def _solve_case(args):
-    """Seed's trajectory over [0, horizon] from its unit initial state."""
-    cfg, seed = args
+def solve_seeds(cfg: ExperimentConfig, model: SpectralModel, gamma: float, seeds) -> list:
+    """(trajectory, lift) of each seed over [0, horizon], solved as one block.
+
+    Each seed's lift is sample_lift's and its trajectory starts at its
+    unit_state; solver.solve_many steps them all at once.
+    """
+    rps = [sample_lift(cfg, seed, cfg.horizon, 0.0, gamma) for seed in seeds]
+    paths = solver.solve_many(model, [unit_state(model, seed) for seed in seeds], rps)
+    return list(zip(paths, rps))
+
+
+def _solve_chunk(cfg: ExperimentConfig, seeds):
+    """The model of cfg and solve_seeds of a chunk of seeds under it."""
     model = _build_model(cfg)
-    cons = _build_constants(cfg, model)
-    rp = sample_lift(cfg, seed, cfg.horizon, 0.0, cons.gamma)
-    return model, rp, solver.solve_mild(model, unit_state(model, seed), rp)
+    return model, solve_seeds(cfg, model, _build_constants(cfg, model).gamma, seeds)
 
 
-def _solve_task(args):
-    model, _, path = _solve_case(args)
-    return args[1], _traj_rows(model, path)
+def _solve_task(cfg: ExperimentConfig, seeds) -> list:
+    model, cases = _solve_chunk(cfg, seeds)
+    return [_traj_rows(model, path) for path, _ in cases]
 
 
 def _cmd_solve(cfg: ExperimentConfig) -> None:
@@ -333,15 +351,14 @@ def _cmd_solve(cfg: ExperimentConfig) -> None:
     model = _build_model(cfg)
     m = min(8, model.n_modes)
     header = ["t", "norm_alpha"] + [f"coeff_{i + 1}" for i in range(m)]
-    results = _parallel_map(_solve_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
-    for seed, rows in results:
+    results = _parallel_map(partial(_solve_task, cfg), cfg.seeds, cfg.jobs)
+    for seed, rows in zip(cfg.seeds, results):
         write_csv(os.path.join(out, f"trajectory_seed{seed}.csv"), header, rows)
 
 
-def _bounds_case(args):
+def _bounds_task(cfg: ExperimentConfig, seeds) -> list:
     # the model stays in the worker: an integral kernel's closures do not pickle
-    _, rp, traj = _solve_case(args)
-    return args[1], traj, rp
+    return _solve_chunk(cfg, seeds)[1]
 
 
 def _apriori_time(horizon: float) -> float:
@@ -365,12 +382,14 @@ def _cmd_bounds(cfg: ExperimentConfig) -> None:
     out = _ensure_out(cfg)
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
-    train = _parallel_map(_bounds_case, [(cfg, s) for s in range(cfg.train_seeds)], cfg.jobs)
-    cons = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for _, t, r in train],
+    task = partial(_bounds_task, cfg)
+    train = _parallel_map(task, range(cfg.train_seeds), cfg.jobs)
+    cons = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for t, r in train],
                                cons, margin=cfg.calib_margin)
+    del train  # frees the training block before the validation block is solved
     rows = []
     t_check = _apriori_time(cfg.horizon)
-    for seed, traj, rp in _parallel_map(_bounds_case, [(cfg, s) for s in cfg.seeds], cfg.jobs):
+    for seed, (traj, rp) in zip(cfg.seeds, _parallel_map(task, cfg.seeds, cfg.jobs)):
         sol = att.check_solution_bound(model, traj, rp, cons, (0.0, 1.0))
         apr = att.apriori_bound(model, traj, rp, cons, t_check)
         rows.append((seed, "0..1", "solution", sol.lhs, sol.rhs, int(sol.passed)))
@@ -379,8 +398,10 @@ def _cmd_bounds(cfg: ExperimentConfig) -> None:
               ["seed", "interval", "kind", "lhs", "rhs", "passed"], rows)
     write_csv(os.path.join(out, "constants.csv"), ["name", "value", "provenance"],
               cons.as_rows())
-    if any(row[5] == 0 for row in rows):
-        raise NumericsError("bound validation found violations")
+    misses = [f"seed {seed} {kind} on {interval}: lhs {format_value(lhs)} > rhs {format_value(rhs)}"
+              for seed, interval, kind, lhs, rhs, passed in rows if not passed]
+    if misses:
+        raise NumericsError("bound validation found violations", violations="; ".join(misses))
 
 
 def _cmd_ergodic(cfg: ExperimentConfig) -> None:
@@ -405,29 +426,28 @@ def _cmd_ergodic(cfg: ExperimentConfig) -> None:
                     integ.stability[p]) for p in integ.orders])
 
 
-def _absorb_task(args):
-    cfg, seed = args
+def _absorb_task(cfg: ExperimentConfig, seeds) -> list:
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     span = cfg.trunc_k + 2.0
-    rp = sample_lift(cfg, seed, span, -(cfg.trunc_k + 1.0), cons.gamma)
-    rep = att.absorbing_radius(rp, cons, truncation_k=cfg.trunc_k,
-                               eps_points=cfg.eps_points, model=model,
-                               y0=model.state(unit_state(model, seed, cfg.cloud_radius)))
-    return (seed, rep.radius, rep.r_value, rep.p1_val, rep.p2_val,
-            rep.tail_bound, int(bool(rep.accepted)), rep.final_norm)
+    cases = [(sample_lift(cfg, seed, span, -(cfg.trunc_k + 1.0), cons.gamma),
+              unit_state(model, seed, cfg.cloud_radius)) for seed in seeds]
+    reports = att.absorbing_radii(model, cases, cons, truncation_k=cfg.trunc_k,
+                                  eps_points=cfg.eps_points)
+    return [(seed, rep.radius, rep.r_value, rep.p1_val, rep.p2_val,
+             rep.tail_bound, int(bool(rep.accepted)), rep.final_norm)
+            for seed, rep in zip(seeds, reports)]
 
 
 def _cmd_absorb(cfg: ExperimentConfig) -> None:
     out = _ensure_out(cfg)
-    rows = _parallel_map(_absorb_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
+    rows = _parallel_map(partial(_absorb_task, cfg), cfg.seeds, cfg.jobs)
     write_csv(os.path.join(out, "absorb.csv"),
               ["seed", "radius", "r_value", "p1", "p2", "tail_bound",
                "accepted", "final_norm"], rows)
 
 
-def _pullback_task(args):
-    cfg, seed = args
+def _pullback_task(cfg: ExperimentConfig, seed: int):
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     t_max = max(cfg.t_list)
@@ -452,7 +472,7 @@ def _pullback_task(args):
 
 def _cmd_pullback(cfg: ExperimentConfig) -> None:
     out = _ensure_out(cfg)
-    results = _parallel_map(_pullback_task, [(cfg, s) for s in cfg.seeds], cfg.jobs)
+    results = _parallel_map(partial(_each_seed, _pullback_task, cfg), cfg.seeds, cfg.jobs)
     # reported here, in seed order, whichever worker ran the seed
     for _, blow_ups in results:
         for line in blow_ups:

@@ -15,6 +15,15 @@ row y'_k, so every state's G is computed once. The step loop runs on plain
 arrays and evaluates one kernel grid per step, shared by G(y_k) and
 DG(y_k)[G(y_k)] (SpectralModel.g_and_dg).
 
+One step loop, solve_many, serves every full trajectory: it steps a
+(rows, modes) block of trajectories that share a grid, such as a command's
+seeds, and solve_mild is its one-row call. The linear model's diffusion and
+the drift are elementwise, so the block steps as one array, bitwise equal to
+each row stepped alone; the integral diffusion goes row by row inside the
+block step, since a stacked kernel gemm would change the summation order and
+with it the last bits. y and y' of all rows live in one (rows, steps + 1,
+modes) block each, and every ControlledPath holds a view of its row.
+
 The scheme consumes per-cell increments of the raw sampled noise, so solving
 over [0, s+t] and solving over [0, s] followed by the shifted noise on [0, t]
 produce bit-identical states (exact cocycle property on grids).
@@ -120,10 +129,27 @@ def _initial_coeffs(model: SpectralModel, y0) -> np.ndarray:
     return coeffs
 
 
+def _g_and_dg_rows(model: SpectralModel, cur: np.ndarray, work):
+    """(G, DG[G]) of a coefficient row, or of each row of a (rows, modes) block.
+
+    The linear diffusion is elementwise and takes the block at once; any other
+    goes row by row, since a stacked kernel gemm would move the last bits.
+    """
+    if cur.ndim == 1 or model.g_kind == "linear":
+        return model.g_and_dg(cur, work)
+    g, dg_g = np.empty_like(cur), np.empty_like(cur)
+    for r, row in enumerate(cur):
+        g[r], dg_g[r] = model.g_and_dg(row, work)
+    return g, dg_g
+
+
 def _euler_step(model: SpectralModel, cur: np.ndarray, work, decay: np.ndarray,
-                step: float, x: float, xx: float):
-    """One exponential Euler step from the coefficient row cur: (G(cur), next row)."""
-    g, dg_g = model.g_and_dg(cur, work)
+                step: float, x, xx):
+    """One exponential Euler step from the coefficient row cur: (G(cur), next row).
+
+    cur may also be a (rows, modes) block, with x and xx as (rows, 1) columns.
+    """
+    g, dg_g = _g_and_dg_rows(model, cur, work)
     return g, decay * (cur + model.f_values(cur) * step + g * x + dg_g * xx)
 
 
@@ -136,7 +162,29 @@ def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
     finite or exceeds 1e150, and a non-finite y' row, abort with a
     NumericsError naming the first bad time (t_bad).
     """
-    coeffs = _initial_coeffs(model, y0)
+    return solve_many(model, [y0], [rp], horizon, cells_per_step)[0]
+
+
+def solve_many(model: SpectralModel, y0s, rps, horizon: float | None = None,
+               cells_per_step: int = 1) -> list:
+    """solve_mild of each (y0, rp) pair, the pairs stepped as one block.
+
+    The rough paths must share one grid: the same t0, dt and cell count. Each
+    row is bitwise the trajectory solve_mild reaches, and each ControlledPath
+    holds views into one (rows, steps + 1, modes) block of y and one of y'.
+    The first pair, in input order, for which solve_mild would raise a
+    NumericsError raises that error; a failing row drops itself and every
+    later row from the block, and the earlier rows step on.
+    """
+    coeffs = [_initial_coeffs(model, y0) for y0 in y0s]
+    rps = list(rps)
+    if len(coeffs) != len(rps):
+        raise ValueError("need one rough path per initial state")
+    if not rps:
+        return []
+    rp = rps[0]
+    if any((p.t0, p.dt, p.n_cells) != (rp.t0, rp.dt, rp.n_cells) for p in rps):
+        raise ValueError("the rough paths must share one grid (t0, dt and cell count)")
     if cells_per_step < 1 or rp.n_cells % cells_per_step:
         raise ValueError("cells_per_step must divide the cell count")
     n_cells = rp.n_cells
@@ -149,27 +197,53 @@ def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
     n_steps = n_cells // cells_per_step
     step = cells_per_step * rp.dt
     decay = model.semigroup_factors(step)
-    x_step = np.diff(rp.x_raw[:n_cells + 1:cells_per_step]).tolist()
-    xx_step = (rp.xx[:n_cells].tolist() if cells_per_step == 1 else
-               [rp.second_level(c, c + cells_per_step) for c in range(0, n_cells, cells_per_step)])
+    # first- and second-level increments of each step and row
+    incs = np.empty((2, n_steps, len(rps), 1))
+    for r, p in enumerate(rps):
+        incs[0, :, r, 0] = np.diff(p.x_raw[:n_cells + 1:cells_per_step])
+        incs[1, :, r, 0] = (p.xx[:n_cells] if cells_per_step == 1 else
+                            [p.second_level(c, c + cells_per_step)
+                             for c in range(0, n_cells, cells_per_step)])
     work = model.kernel_work()
-
-    y = np.empty((n_steps + 1, model.n_modes))
+    y = np.empty((len(rps), n_steps + 1, model.n_modes))
     yp = np.empty_like(y)
-    y[0] = coeffs
+    y[:, 0] = coeffs
+
+    def stepped(live):
+        # step-major views of rows [0, live): y, y', and the increments as
+        # (rows, 1) columns; one row steps as 1-D arrays with scalar increments
+        if live == 1:
+            return y[0], yp[0], *incs[:, :, 0, 0].tolist()
+        return (y[:live].swapaxes(0, 1), yp[:live].swapaxes(0, 1),
+                incs[0, :, :live], incs[1, :, :live])
+
+    live = len(rps)
+    ys, yps, xs, xxs = stepped(live)
+    blow_up = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            yp[k], nxt = _euler_step(model, y[k], work, decay, step, x_step[k], xx_step[k])
-            if not np.abs(nxt).max() <= _BLOW_CAP:  # also true for NaN
-                t_bad = rp.t0 + (k + 1) * cells_per_step * rp.dt
-                raise NumericsError(f"trajectory blew up at t = {t_bad}", t_bad=t_bad)
-            y[k + 1] = nxt
-        yp[n_steps] = model.g_values(y[n_steps], work)
+            yps[k], nxt = _euler_step(model, ys[k], work, decay, step, xs[k], xxs[k])
+            size = np.abs(nxt)
+            if not size.max() <= _BLOW_CAP:  # also true for NaN
+                # this row fails first in input order unless an earlier one
+                # fails later: drop it and every later row, step the rest on
+                live = int(np.argmin(size.reshape(live, -1).max(axis=1) <= _BLOW_CAP))
+                blow_up = rp.t0 + (k + 1) * cells_per_step * rp.dt
+                if not live:
+                    break
+                ys, yps, xs, xxs = stepped(live)
+                nxt = nxt[:live]
+            ys[k + 1] = nxt
+        if live:
+            yps[n_steps] = _g_and_dg_rows(model, ys[n_steps], work)[0]
     times = rp.t0 + step * np.arange(n_steps + 1)
-    if not np.isfinite(yp).all():
-        t_bad = float(times[np.argmin(np.isfinite(yp).all(axis=1))])
+    finite = np.isfinite(yp[:live]).all(axis=2)
+    if not finite.all():
+        t_bad = float(times[np.argmin(finite[np.argmin(finite.all(axis=1))])])
         raise NumericsError(f"y' = G(y) is not finite at t = {t_bad}", t_bad=t_bad)
-    return ControlledPath(times, y, yp, rp.gamma)
+    if blow_up is not None:
+        raise NumericsError(f"trajectory blew up at t = {blow_up}", t_bad=blow_up)
+    return [ControlledPath(times, y[r], yp[r], p.gamma) for r, p in enumerate(rps)]
 
 
 def _evolve_lockstep(model: SpectralModel, rp: GridRoughPath, end: int, entries) -> list:

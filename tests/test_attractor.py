@@ -453,11 +453,7 @@ class TestAbsorbingWindowKernels:
         # cells above chi at t = -5.5 and t = -2.5; the loop meets the window
         # [-3, -2] (eps = 0, k = 3) before any window holding the earlier cell
         cons = desk_constants(desk_model(c_g=5e-4))
-        rp = scaled_lift(4, 8.0, -7.0)
-        x = rp.x_raw.copy()
-        for t in (-5.5, -2.5):
-            x[rp.index(t) + 1:] += 1.0
-        rp = rpm.GridRoughPath(rp.t0, rp.dt, x, rp.xx, rp.gamma)
+        rp = jumpy_lift()
         with pytest.raises(NumericsError) as ref:
             ref_absorbing_radius(rp, cons, 6, 11)
         with pytest.raises(NumericsError) as got:
@@ -466,6 +462,65 @@ class TestAbsorbingWindowKernels:
         assert str(got.value) == str(ref.value)
         assert got.value.context == ref.value.context
 
+
+
+def jumpy_lift():
+    """A realization with cells above chi: its radius raises a NumericsError."""
+    rp = scaled_lift(4, 8.0, -7.0)
+    x = rp.x_raw.copy()
+    for t in (-5.5, -2.5):
+        x[rp.index(t) + 1:] += 1.0
+    return rpm.GridRoughPath(rp.t0, rp.dt, x, rp.xx, rp.gamma)
+
+
+class TestAbsorbingRadii:
+    """att.absorbing_radii: the evolutions of several realizations as one block."""
+
+    @pytest.mark.parametrize("c_g", [5e-4, 0.3])
+    def test_matches_case_by_case(self, c_g):
+        model = desk_model(c_g=c_g, sigma_f=0.25, c_f=0.5)
+        cons = desk_constants(desk_model(c_g=5e-4))
+        rng = np.random.default_rng(2)
+        cases = [(scaled_lift(seed, 8.0, -7.0), rng.standard_normal(16)) for seed in range(5)]
+        got = att.absorbing_radii(model, cases, cons, truncation_k=6, eps_points=5)
+        for rep, (rp, y0) in zip(got, cases):
+            alone = att.absorbing_radius(rp, cons, truncation_k=6, eps_points=5)
+            traj = solver.solve_mild(model, y0, rp.window(-6.0, 0.0))
+            final_norm = model.frac_norm(traj.y[-1], model.alpha)
+            assert rep.final_norm == final_norm
+            assert rep.accepted == (final_norm <= alone.radius)
+            assert np.array_equal(rep.series_terms, alone.series_terms)
+            assert rep.radius == alone.radius and rep.tail_bound == alone.tail_bound
+            one = att.absorbing_radius(rp, cons, truncation_k=6, eps_points=5,
+                                       model=model, y0=y0)
+            assert (one.final_norm, one.accepted) == (rep.final_norm, rep.accepted)
+
+    def test_errors_in_case_order(self):
+        # the radius error of the jumpy realization, and the solve error of
+        # the huge state (it blows up on the first step of [-6, 0])
+        cons = desk_constants(desk_model(c_g=5e-4))
+        model = desk_model(c_g=1e5)
+        good, bad = scaled_lift(4, 8.0, -7.0), jumpy_lift()
+        huge, zero = np.full(16, 1e149), np.zeros(16)
+        with pytest.raises(NumericsError) as radius_error:
+            att.absorbing_radius(bad, cons, truncation_k=6)
+        with pytest.raises(NumericsError) as solve_error:
+            solver.solve_mild(model, huge, good.window(-6.0, 0.0))
+
+        def first_error(cases):
+            with pytest.raises(NumericsError) as err:
+                att.absorbing_radii(model, cases, cons, truncation_k=6)
+            return str(err.value), err.value.context
+
+        radius = str(radius_error.value), radius_error.value.context
+        solve = str(solve_error.value), solve_error.value.context
+        assert "cell_left" in radius[1] and solve[1] == {"t_bad": -6.0 + good.dt}
+        # a case's radius error comes before its own solve error ...
+        assert first_error([(bad, huge), (good, huge)]) == radius
+        assert first_error([(good, zero), (bad, huge)]) == radius
+        # ... and an earlier case's solve error before a later case's radius error
+        assert first_error([(good, huge), (bad, zero)]) == solve
+        assert first_error([(good, zero), (good, huge), (bad, zero)]) == solve
 
 def ref_pullback_estimate(model, ensemble, t_list, cloud):
     """The per-point solve_mild loop that the lockstep evolution replaced."""

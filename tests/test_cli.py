@@ -18,7 +18,7 @@ def run(args):
 
 # small configs of the pool commands (seeds, sizes); bounds also gets a model
 SMALL = {
-    "solve": "seeds = 5,6\n",
+    "solve": "seeds = 5,6,7\n",
     "absorb": "seeds = 1,2\ntrunc_k = 4\neps_points = 5\n",
     "pullback": "seeds = 1\ntrunc_k = 3\neps_points = 5\nt_list = 1,2\ncloud_points = 2\n",
     "bounds": "seeds = 50,51,52\ntrain_seeds = 12\nhorizon = 4.0\nsteps_per_unit = 64\n",
@@ -215,7 +215,13 @@ class TestDeterminism:
         (8, 5, None, None),  # CPU count unknown: no pool at all
     ])
     def test_pool_size_clamped(self, monkeypatch, jobs, items, cpus, expect):
+        # one contiguous chunk per worker, sizes within one of each other
         started = []
+        chunks = []
+
+        def negate(chunk):
+            chunks.append(list(chunk))
+            return [-k for k in chunk]
 
         class RecordingExecutor:
             def __init__(self, max_workers):
@@ -232,8 +238,11 @@ class TestDeterminism:
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert cli._parallel_map(abs, [-k for k in range(items)], jobs) == list(range(items))
+        assert cli._parallel_map(negate, range(items), jobs) == [-k for k in range(items)]
         assert started == ([] if expect is None else [expect])
+        assert len(chunks) == (expect or 1)
+        assert [k for chunk in chunks for k in chunk] == list(range(items))
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
 
     def test_manifest_records_hash_and_versions(self, tmp_path):
         out = tmp_path / "m"
@@ -268,6 +277,24 @@ class TestPipelines:
         assert cons_rows[0] == "name,value,provenance"
         provs = {line.split(",")[-1] for line in cons_rows[1:]}
         assert provs <= {"primitive", "derived", "calibrated"}
+
+    def test_bounds_exit_3_names_the_misses(self, tmp_path, capsys):
+        # fitted on training seeds 0-39, m_big misses the solution bound of
+        # seed 241682 (lhs/rhs about 1.04); seed 5 is a training seed
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = os.path.join(root, "perfbench", "configs", "bounds.txt")
+        out = tmp_path / "o"
+        assert run(["--config", cfg, "--seeds", "241682,5", "--out", str(out)]) == 3
+        rows = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()]
+        assert [(r[0], r[2], r[5]) for r in rows[1:]] == [
+            ("241682", "solution", "0"), ("241682", "apriori", "1"),
+            ("5", "solution", "1"), ("5", "apriori", "1")]
+        lhs, rhs = rows[1][3:5]
+        assert float(lhs) > float(rhs)
+        assert capsys.readouterr().err == (
+            "numerics: bound validation found violations (violations=seed 241682 "
+            f"solution on 0..1: lhs {lhs} > rhs {rhs})\n")
+        assert (out / "constants.csv").exists()
 
     def test_absorb_small(self, tmp_path):
         cfg = small_config(tmp_path, "absorb")

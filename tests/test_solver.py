@@ -254,6 +254,107 @@ class TestSolveMild:
             solver.solve_mild(model, np.ones(2), rp, horizon=2.0)
 
 
+def drift_model():
+    return SpectralModel(12, lambda_a=2.0, sigma_f=0.25, sigma_g=0.2, c_f=0.6, c_g=0.4)
+
+
+class TestSolveMany:
+    """solver.solve_many: one block of trajectories on a shared grid, bitwise per row."""
+
+    @staticmethod
+    def check(model, y0s, rps, horizon=None, cells_per_step=1):
+        paths = solver.solve_many(model, y0s, rps, horizon, cells_per_step)
+        assert len(paths) == len(rps)
+        for path, y0, rp in zip(paths, y0s, rps):
+            y, yp, t_bad = ref_solve_mild(model, y0, rp, horizon, cells_per_step)
+            assert t_bad is None
+            assert np.array_equal(path.y, y)
+            assert np.array_equal(path.y_prime, yp)
+            assert np.array_equal(path.times, rp.t0 + cells_per_step * rp.dt * np.arange(len(y)))
+            assert path.y.flags.c_contiguous and path.y_prime.flags.c_contiguous
+        return paths
+
+    # 700 rows of 12 modes exceed numpy's 8192-element ufunc buffer
+    @pytest.mark.parametrize("rows,cells", [(1, 128), (7, 128), (40, 64), (700, 8)])
+    def test_linear_rows_match_per_step_loop(self, rows, cells):
+        model = drift_model()
+        rps = [brownian_lift(seed, n=cells, horizon=2.0, scale=0.3) for seed in range(rows)]
+        y0s = np.random.default_rng(rows).standard_normal((rows, model.n_modes))
+        paths = self.check(model, y0s, rps)
+        # each path views the shared block: no copy per row
+        assert all(p.y.base is paths[0].y.base is not None for p in paths)
+
+    def test_integral_rows_match_per_step_loop(self):
+        model = SpectralModel(16, lambda_a=8.0, c_g=0.5, g_kind="integral")
+        rps = [brownian_lift(seed, n=32, scale=0.3) for seed in range(3)]
+        self.check(model, np.random.default_rng(3).standard_normal((3, 16)), rps)
+
+    @pytest.mark.parametrize("kind", ["integral", "linear_drift"])
+    def test_coarser_step_and_shorter_horizon(self, kind):
+        model = (SpectralModel(16, lambda_a=8.0, c_g=0.5, g_kind="integral")
+                 if kind == "integral" else drift_model())
+        rps = [brownian_lift(seed, n=64, horizon=2.0, scale=0.3) for seed in (4, 5, 6)]
+        y0s = np.random.default_rng(5).standard_normal((3, model.n_modes))
+        paths = self.check(model, y0s, rps, horizon=1.25, cells_per_step=4)
+        assert paths[0].times.size == 40 // 4 + 1
+
+    def test_first_failing_row_in_input_order_raises(self):
+        # the large state blows up on the first step, the unit state later;
+        # the zero state never does
+        model = SpectralModel(2, lambda_a=0.5, c_g=200.0)
+        rp = brownian_lift(8, n=256, scale=2.0)
+        ones, big, zero = np.ones(2), np.full(2, 1e149), np.zeros(2)
+        late = ref_solve_mild(model, ones, rp)[2]
+        assert late > rp.dt
+        for y0s, t_bad in (([ones, big], late), ([big, ones], rp.dt), ([zero, big, ones], rp.dt),
+                           ([zero, ones, big], late), ([zero, ones], late)):
+            with pytest.raises(NumericsError, match="blew up") as err:
+                solver.solve_many(model, y0s, [rp] * len(y0s))
+            assert err.value.context == {"t_bad": t_bad}
+            assert str(err.value) == f"trajectory blew up at t = {t_bad}"
+        # one row per seed: the earlier seed's later blow-up comes first
+        other = brownian_lift(9, n=256, scale=2.0)
+        times = [ref_solve_mild(model, ones, p)[2] for p in (rp, other)]
+        assert times[0] != times[1]
+        with pytest.raises(NumericsError) as err:
+            solver.solve_many(model, [ones, ones], [rp, other])
+        assert err.value.context["t_bad"] == times[0]
+
+    def test_nonfinite_final_y_prime_row(self):
+        # the kernel of test_nonfinite_y_prime_is_a_numerics_error: G is NaN
+        # on the last row of the unit state only; the huge state blows up on
+        # its first step
+        n = 8
+        thr = np.sqrt(2.0) * np.exp(-SpectralModel(1, lambda_a=1.0).mu[0] * 7.5 / n)
+
+        def g(xi, v):
+            return np.where(np.abs(v).max() < thr, np.nan, 0.0 * xi * v)
+
+        def zero(xi, v):
+            return 0.0 * xi * v
+
+        model = SpectralModel(1, lambda_a=1.0, g_kind="integral",
+                              kernel=IntegralKernel(g, zero, zero, zero, deriv_bound=1.0))
+        rp = rpm.lift_piecewise_linear(np.zeros(n + 1), 0.0, 1.0 / n)
+        ones, huge = np.ones(1), np.full(1, 1e151)
+        with pytest.raises(NumericsError, match="not finite") as err:
+            solver.solve_many(model, [ones, huge], [rp, rp])
+        assert err.value.context == {"t_bad": 1.0}
+        with pytest.raises(NumericsError, match="blew up") as err:
+            solver.solve_many(model, [huge, ones], [rp, rp])
+        assert err.value.context == {"t_bad": 1.0 / n}
+
+    def test_grids_must_match(self):
+        model = SpectralModel(2, lambda_a=1.0)
+        rp = brownian_lift(9, n=32)
+        assert solver.solve_many(model, [], []) == []
+        for other in (brownian_lift(9, n=64), brownian_lift(9, n=32, horizon=2.0),
+                      brownian_lift(9, n=32, t0=0.5)):
+            with pytest.raises(ValueError, match="share one grid"):
+                solver.solve_many(model, [np.ones(2)] * 2, [rp, other])
+        with pytest.raises(ValueError, match="one rough path per initial state"):
+            solver.solve_many(model, [np.ones(2)] * 2, [rp])
+
 def lockstep_reference(model, rp, end, entries):
     """One solve_mild per entry: its final state, or None where it raises."""
     finals = []
