@@ -8,7 +8,8 @@ check, absorbing radii and pullback tables, plus the acceptance suite.
 Configuration is a plain key = value file. The command may come from the
 positional argument or from the ``command`` key, so a written manifest is
 itself a replayable config. Every run writes ``manifest.txt`` into the
-output directory; all tabular outputs are CSV with repr-formatted floats,
+output directory, also a run that exits 3 after creating it, so its partial
+outputs can be replayed; all tabular outputs are CSV with repr-formatted floats,
 byte-identical for a fixed (config, seeds) regardless of worker count.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical diagnostic,
@@ -521,6 +522,7 @@ def main(argv=None) -> int:
     overrides = {"command": args.command, "out": args.out, "jobs": args.jobs,
                  "verbose": args.verbose}
     start = time.monotonic()
+    cfg = None
     try:
         if args.seeds is not None:
             overrides["seeds"] = _parse_list("seeds", args.seeds, int)
@@ -536,6 +538,9 @@ def main(argv=None) -> int:
         print(f"config-error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:
+        if cfg is not None and os.path.isdir(cfg.out):
+            # the outputs written before the error can be replayed
+            write_manifest(cfg, time.monotonic() - start)
         context = ", ".join(f"{k}={format_value(v)}" for k, v in exc.context.items())
         print(f"numerics: {exc}" + (f" ({context})" if context else ""), file=sys.stderr)
         return 3

@@ -20,6 +20,7 @@ the second level.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -238,29 +239,49 @@ def _window_arrays(rp: GridRoughPath, interval=None):
     return rp.x_raw[i:j + 1], rp.xx[i:j]
 
 
-def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndarray:
-    """Second level of the window over every row i and the columns j >= c0.
+def _prefix_sums(raw: np.ndarray, xx: np.ndarray):
+    """Prefix sums xxc and a of the window, accumulated from its start.
 
-    XX[i, j] = (xxc[j]-xxc[i]) + (a[j]-a[i]) - raw[i]*(raw[j]-raw[i]) with
-    xxc the cell prefix sum and a[m] = sum_{k<m} raw[k]*(raw[k+1]-raw[k]),
-    both accumulated from the window start. np.cumsum adds sequentially, so a
-    window cut short at any column carries the same prefix sums, bit for bit,
-    as the full window. Entries with j <= i are not meaningful. Leading axes
-    of raw and xx index a batch of windows of one length.
+    xxc[m] = sum_{k<m} xx[k] and a[m] = sum_{k<m} raw[k]*(raw[k+1]-raw[k]).
+    np.cumsum adds sequentially, so a window cut short at any column carries
+    the same prefix sums, bit for bit, as the full window. Leading axes of raw
+    and xx index a batch of windows of one length.
     """
     xxc = np.zeros(raw.shape)
     np.cumsum(xx, axis=-1, out=xxc[..., 1:])
     a = np.zeros(raw.shape)
     np.cumsum(raw[..., :-1] * np.diff(raw), axis=-1, out=a[..., 1:])
-    xi, ai, ri = xxc[..., :, None], a[..., :, None], raw[..., :, None]
-    xj, aj, rj = xxc[..., None, c0:], a[..., None, c0:], raw[..., None, c0:]
+    return xxc, a
+
+
+def _chen_pairs(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray, rows, cols) -> np.ndarray:
+    """Second level XX[i, j] over the rows i and the columns j of the window.
+
+    XX[i, j] = (xxc[j]-xxc[i]) + (a[j]-a[i]) - raw[i]*(raw[j]-raw[i]) with the
+    prefix sums of _prefix_sums; rows and cols are slices or index arrays.
+    Each entry is the same elementwise expression whatever the selection, so
+    it is bitwise the entry of the full block. Entries with j <= i are not
+    meaningful.
+    """
+    xi, ai, ri = xxc[..., rows, None], a[..., rows, None], raw[..., rows, None]
+    xj, aj, rj = xxc[..., None, cols], a[..., None, cols], raw[..., None, cols]
     return (xj - xi) + (aj - ai) - ri * (rj - ri)
 
 
+def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndarray:
+    """Second level of the window over every row i and the columns j >= c0,
+    by _chen_pairs on the window's prefix sums."""
+    return _chen_pairs(raw, *_prefix_sums(raw, xx), slice(None), slice(c0, None))
+
+
+@functools.lru_cache(maxsize=16)
 def _lag_table(m: int, dt: float, p: float) -> np.ndarray:
     """table[m - 1 + lag] = (lag * dt) ** p for lag = 1, ..., m, and inf for
-    lag = 1 - m, ..., 0; each weight by Python's scalar pow."""
-    return np.array([math.inf] * m + [(lag * dt) ** p for lag in range(1, m + 1)])
+    lag = 1 - m, ..., 0; each weight by Python's scalar pow. Built once per
+    (m, dt, p) and returned read-only."""
+    table = np.array([math.inf] * m + [(lag * dt) ** p for lag in range(1, m + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def _pair_sups(values, m: int, dt: float, exponents) -> list[float]:

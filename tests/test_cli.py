@@ -296,6 +296,18 @@ class TestPipelines:
             f"solution on 0..1: lhs {lhs} > rhs {rhs})\n")
         assert (out / "constants.csv").exists()
 
+    def test_bounds_exit_3_writes_a_replayable_manifest(self, tmp_path, capsys):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        cfg = os.path.join(root, "perfbench", "configs", "bounds.txt")
+        out, replay = tmp_path / "o", tmp_path / "replay"
+        assert run(["--config", cfg, "--seeds", "241682,5", "--out", str(out)]) == 3
+        assert run(["--config", str(out / "manifest.txt"), "--out", str(replay)]) == 3
+        first, second = capsys.readouterr().err.splitlines()
+        assert first == second and first.startswith("numerics: bound validation")
+        for name in ("bounds.csv", "constants.csv"):
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
+        assert (replay / "manifest.txt").exists()
+
     def test_absorb_small(self, tmp_path):
         cfg = small_config(tmp_path, "absorb")
         assert run(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

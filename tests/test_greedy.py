@@ -1,9 +1,11 @@
 """Control W, greedy times and counts."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rpde_lab import greedy
 from rpde_lab import roughpath as rpm
@@ -17,19 +19,28 @@ def fbm_lift(seed, n=64, scale=0.3, hurst=0.45):
     return rpm.lift_piecewise_linear(xs, 0.0, 1.0 / n, gamma=GAMMA)
 
 
-def brute_force_w(rp, eta, lo, hi):
-    """Independent exhaustive enumeration over all grid partitions."""
+def brute_costs(rp, eta, lo, hi):
+    """Independent one-segment costs of every grid pair of [lo, hi]; XX[i, j]
+    sums the cells of [i, j] in order with Chen's cross terms."""
     g = rp.gamma - eta
     m = hi - lo
+    x, xx = rp.x.tolist(), rp.xx.tolist()
     cost = np.zeros((m + 1, m + 1))
     for i in range(m + 1):
+        xxij = 0.0
         for j in range(i + 1, m + 1):
-            xij = rp.x[lo + j] - rp.x[lo + i]
-            xxij = 0.0
-            for k in range(lo + i, lo + j):
-                xxij += rp.xx[k] + (rp.x[k] - rp.x[lo + i]) * (rp.x[k + 1] - rp.x[k])
+            k = lo + j - 1
+            xxij += xx[k] + (x[k] - x[lo + i]) * (x[k + 1] - x[k])
+            xij = x[lo + j] - x[lo + i]
             w = ((j - i) * rp.dt) ** (-eta / g) if eta > 0 else 1.0
             cost[i, j] = w * (abs(xij) ** (1 / g) + abs(xxij) ** (0.5 / g))
+    return cost
+
+
+def brute_force_w(rp, eta, lo, hi):
+    """Independent exhaustive enumeration over all grid partitions."""
+    m = hi - lo
+    cost = brute_costs(rp, eta, lo, hi)
     best = 0.0
     for mask in range(2 ** (m - 1)):
         cuts = [0] + [b + 1 for b in range(m - 1) if mask >> b & 1] + [m]
@@ -385,3 +396,283 @@ class TestWindowCounts:
             tracemalloc.stop()
         assert min(counts) >= 1
         assert peak < 2 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the pruned DP against the kernel that costed every row, bit for bit
+# ---------------------------------------------------------------------------
+
+def ref_cost_block(raw, xx, k0, dt, eta, g):
+    """The all-rows cost block of the unpruned kernel, verbatim."""
+    rows = raw.shape[-1]
+    p1 = 1.0 / g
+    p2 = 0.5 / g
+    wexp = -eta / g
+    lag = np.arange(k0 - rows + 1, rows).astype(float) * dt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = np.where(lag > 0, lag ** wexp, 0.0) if eta > 0 else np.where(lag > 0, 1.0, 0.0)
+    weight = sliding_window_view(weight, rows - k0)[::-1]
+    cost = np.abs(raw[..., None, k0:] - raw[..., :, None]) ** p1
+    cost += np.abs(rpm._second_level_block(raw, xx, k0)) ** p2
+    cost *= weight
+    return cost
+
+
+def ref_control_dp(rp, eta, i0, i1, limit):
+    """The unpruned _control_dp, verbatim: every row of every column block."""
+    raw = rp.x_raw[i0:i1 + 1]
+    xx = rp.xx[i0:i1]
+    m = i1 - i0
+    g = rp.gamma - eta
+    check = limit < math.inf
+    dp = np.empty(m + 1)
+    dp[0] = 0.0
+    k0 = 1
+    while k0 <= m:
+        k1 = min(k0 + rpm.BLOCK, m + 1)
+        cost = ref_cost_block(raw[:k1], xx[:k1 - 1], k0, rp.dt, eta, g)
+        cost[:k0] += dp[:k0, None]
+        best = cost[:k0].max(axis=0)
+        for k in range(k0, k1):
+            c = k - k0
+            dp[k] = best[c]
+            if check and not dp[k] ** g <= limit:
+                return dp, k - 1
+            np.maximum(best[c + 1:], dp[k] + cost[k, c + 1:], out=best[c + 1:])
+        k0 = k1
+    return dp, m
+
+
+def ref_greedy_scan(rp, eta, chi, i0, i1):
+    g = rp.gamma - eta
+    cuts = [i0]
+    cur = i0
+    while cur < i1:
+        dp, last_ok = ref_control_dp(rp, eta, cur, i1, chi)
+        if last_ok == 0:
+            raise greedy._coarse_cell(rp, chi, cur, float(dp[1] ** g))
+        cur += last_ok
+        cuts.append(cur)
+    return cuts
+
+
+def dp_outcome(kernel, rp, eta, i0, i1, limit=math.inf):
+    """The filled part of the DP row and the last column within the limit."""
+    dp, last = kernel(rp, eta, i0, i1, limit)
+    return dp[:min(last + 2, i1 - i0 + 1)], last
+
+
+def same_dp(rp, eta, i0, i1, limit=math.inf):
+    got = dp_outcome(greedy._control_dp, rp, eta, i0, i1, limit)
+    want = dp_outcome(ref_control_dp, rp, eta, i0, i1, limit)
+    return got[1] == want[1] and np.array_equal(got[0], want[0])
+
+
+def prune_path(kind, cells):
+    """A geometric lift or a path with non-geometric xx, 40 cells longer than
+    the windows cut from it."""
+    if kind == "lift":
+        return long_lift(cells, cells + 40, GAMMA)
+    return noisy_path(cells)
+
+
+PRUNE_ETAS = [0.0, 0.1, 0.3]
+
+
+class TestPrunedDpBitwise:
+    @pytest.mark.parametrize("kind", ["lift", "noisy"])
+    @pytest.mark.parametrize("eta", PRUNE_ETAS)
+    @pytest.mark.parametrize("cells", [1, 63, 64, 65, 128, 129, 200, 4096])
+    def test_w_rows(self, kind, eta, cells):
+        rp = prune_path(kind, cells)
+        windows = [(17, 17 + cells)] if cells > 1000 else [(0, cells), (17, 17 + cells)]
+        for i0, i1 in windows:
+            assert same_dp(rp, eta, i0, i1)
+
+    @pytest.mark.parametrize("kind", ["lift", "noisy"])
+    @pytest.mark.parametrize("eta", PRUNE_ETAS)
+    def test_limited_scans(self, kind, eta):
+        # thresholds met inside the first, the third and the fifth block of
+        # columns, and one below the first cell
+        rp = prune_path(kind, 600)
+        g = GAMMA - eta
+        for i0 in (0, 23):
+            ref = ref_control_dp(rp, eta, i0, i0 + 600, math.inf)[0]
+            for chi in [float(ref[k] ** g) for k in (40, 150, 300)] + [float(ref[1] ** g) / 2]:
+                assert same_dp(rp, eta, i0, i0 + 600, chi)
+                assert scan_outcome(greedy._greedy_scan, rp, eta, chi, i0, i0 + 600) == \
+                    scan_outcome(ref_greedy_scan, rp, eta, chi, i0, i0 + 600)
+        chi = float(ref[300] ** g)
+        gp = greedy.greedy_times(rp, eta, chi)
+        cuts = ref_greedy_scan(rp, eta, chi, 0, rp.n_cells)
+        assert gp.taus.tolist() == (rp.t0 + rp.dt * np.asarray(cuts, dtype=float)).tolist()
+        s, t = rp.t0 + 23 * rp.dt, rp.t0 + 623 * rp.dt
+        assert greedy.count_in_window(rp, eta, chi, s, t) == \
+            len(ref_greedy_scan(rp, eta, chi, 23, 623)) - 1
+
+    def test_first_cell_error_context(self):
+        rp = prune_path("noisy", 300)
+        chi = float(ref_control_dp(rp, 0.1, 0, 300, math.inf)[0][1] ** 0.3) / 2
+        with pytest.raises(NumericsError) as want:
+            ref_greedy_scan(rp, 0.1, chi, 0, 300)
+        with pytest.raises(NumericsError) as got:
+            greedy.greedy_times(rp, 0.1, chi)
+        assert str(got.value) == str(want.value) and got.value.context == want.value.context
+
+    @pytest.mark.parametrize("cells", [32, 65])
+    def test_window_counts(self, cells):
+        rp = noisy_path(cells)
+        starts = mixed_starts(rp.n_cells - cells)
+        for eta, chi in ((0.1, 0.3), (0.0, 0.3), (0.3, 0.6)):
+            want = [len(ref_greedy_scan(rp, eta, chi, a, a + cells)) - 1 for a in starts]
+            assert greedy.window_counts(rp, eta, chi, starts, cells) == want
+
+    def test_all_pairs_rows(self):
+        rp = prune_path("noisy", 140)
+        mat = greedy.control_w_all_pairs(rp, 0.1, (rp.t0, rp.t0 + 140 * rp.dt))
+        for i in (0, 5, 11):
+            assert np.array_equal(mat[i, i:], ref_control_dp(rp, 0.1, i, 140, math.inf)[0])
+
+
+def drift_path(cells, slope, flat=0, offset=0.0, seed=0):
+    """A geometric lift of a strong linear drift with small noise, constant on
+    its first flat cells; x_raw sits at the given offset."""
+    rng = np.random.default_rng(seed)
+    steps = np.concatenate([np.zeros(flat), slope / 64 + rng.normal(0.0, 1e-3, cells - flat)])
+    x = np.concatenate([[0.0], np.cumsum(steps)])
+    return rpm.GridRoughPath(0.0, 1.0 / 64, x, 0.5 * steps * steps, GAMMA, x_raw=x + offset)
+
+
+def last_column_candidates(rp, eta, m):
+    """dp[i] + cost[i, m] of every row i, by the unpruned kernel's arithmetic."""
+    dp = ref_control_dp(rp, eta, 0, m, math.inf)[0]
+    cost = ref_cost_block(rp.x_raw[:m + 1], rp.xx[:m], m, rp.dt, eta, rp.gamma - eta)
+    return dp[:m] + cost[:m, 0]
+
+
+class TestPrunedDpAdversarial:
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_single_segment_from_the_farthest_block(self, eta):
+        # superadditive drift: the one segment [0, m] wins the last column, so
+        # the winner sits in block 0, the farthest from the last tile
+        rp = drift_path(300, 2.0)
+        cand = last_column_candidates(rp, eta, 300)
+        assert int(np.argmax(cand)) == 0 and np.sum(cand == cand[0]) == 1
+        assert greedy.control_w(rp, eta, 0.0, rp.end_time) == cand[0]
+        assert same_dp(rp, eta, 0, 300)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_single_segment_of_pure_area(self, eta):
+        # x constant and xx > 0: only the second level costs, every block has
+        # R = 0, and the one segment [0, m] wins through its area A
+        rng = np.random.default_rng(1)
+        rp = rpm.GridRoughPath(0.0, 1.0 / 64, np.zeros(301), 0.01 * (1.0 + rng.random(300)),
+                               GAMMA)
+        cand = last_column_candidates(rp, eta, 300)
+        assert int(np.argmax(cand)) == 0
+        assert greedy.control_w(rp, eta, 0.0, rp.end_time) == cand[0]
+        assert same_dp(rp, eta, 0, 300)
+
+    @pytest.mark.parametrize("eta", [0.05, 0.3])
+    def test_winner_is_the_pivot_row(self, eta):
+        # flat up to row BLOCK, block 0's pivot; the falling lag weight then
+        # makes that row the winner of every later column
+        rp = drift_path(320, 2.0, flat=rpm.BLOCK)
+        cand = last_column_candidates(rp, eta, 320)
+        assert int(np.argmax(cand)) == rpm.BLOCK
+        assert greedy.control_w(rp, eta, 0.0, rp.end_time) == cand[rpm.BLOCK]
+        assert same_dp(rp, eta, 0, 320)
+
+    @pytest.mark.parametrize("offset", [1e4, 1e7])
+    def test_raw_far_from_zero(self, offset):
+        # prefix sums and raw ** 2 dwarf the second-level entries, so their
+        # rounding is large against the costs
+        for eta in (0.0, 0.1):
+            for seed in range(3):
+                assert same_dp(drift_path(400, 2.0, offset=offset, seed=seed), eta, 0, 400)
+            noisy = noisy_path(400)
+            rp = rpm.GridRoughPath(noisy.t0, noisy.dt, noisy.x, noisy.xx, GAMMA,
+                                   x_raw=noisy.x + offset)
+            assert same_dp(rp, eta, 0, 400)
+
+    @pytest.mark.parametrize("kind", ["lift", "noisy"])
+    def test_matches_exhaustive_last_cut_oracle(self, kind):
+        # Bellman's recursion over every last cut, on the pair costs of
+        # brute_force_w; 2 ** 170 partitions are too many to enumerate
+        rp = prune_path(kind, 170)
+        for eta in (0.0, 0.1):
+            cost = brute_costs(rp, eta, 0, 170)
+            best = [0.0]
+            for j in range(1, 171):
+                best.append(max(best[i] + cost[i, j] for i in range(j)))
+            assert greedy.control_w(rp, eta, rp.t0, rp.t0 + 170 * rp.dt) == \
+                pytest.approx(best[-1], rel=1e-12)
+
+
+def far_blocks(rp, eta, m):
+    """Pivot, dp at the pivot, R and A of every row block of [0, m] that a
+    later column tile can treat as far, from the unpruned dp."""
+    dp = ref_control_dp(rp, eta, 0, m, math.inf)[0]
+    raw = rp.x_raw[:m + 1]
+    xxc, a = rpm._prefix_sums(raw, rp.xx[:m])
+    blocks = []
+    for p in range(rpm.BLOCK, m - 2 * rpm.BLOCK + 1, rpm.BLOCK):
+        rows = slice(0 if p == rpm.BLOCK else p - rpm.BLOCK + 1, p + 1)
+        blocks.append((rows, p, dp[p], np.abs(raw[p] - raw[rows]).max(),
+                       np.abs(rpm._chen_pairs(raw, xxc, a, rows, slice(p, p + 1))).max()))
+    return dp, raw, xxc, a, blocks
+
+
+class TestFarBound:
+    @pytest.mark.parametrize("case", ["tight", "noisy", "offset"])
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_bounds_every_candidate_of_its_block(self, case, eta):
+        # "tight": a geometric lift that rises to row BLOCK + 1, the first
+        # row of block 1, creeps down to its pivot by less than dp's last bit
+        # and then falls. dp of that row equals dp of the pivot, it attains
+        # R and A, and Chen's inequality holds with equality, so at eta = 0
+        # the bound is attained by that row's candidates up to rounding
+        if case == "tight":
+            rng = np.random.default_rng(3)
+            steps = np.repeat([0.05, -1e-10, -0.05], [rpm.BLOCK + 1, rpm.BLOCK - 1, 272]) \
+                * (1.0 + 0.1 * rng.random(400))
+            x = np.concatenate([[0.0], np.cumsum(steps)])
+            rp = rpm.GridRoughPath(0.0, 1.0 / 64, x, 0.5 * steps * steps, GAMMA)
+        elif case == "noisy":
+            rp = noisy_path(400)
+        else:
+            noisy = noisy_path(400)
+            rp = rpm.GridRoughPath(noisy.t0, noisy.dt, noisy.x, noisy.xx, GAMMA,
+                                   x_raw=noisy.x + 1e6)
+        m = 400
+        g = GAMMA - eta
+        dp, raw, xxc, a, blocks = far_blocks(rp, eta, m)
+        far = tuple(np.array(v) for v in zip(*(b[1:] for b in blocks)))
+        k0 = blocks[-1][1] + rpm.BLOCK + 1
+        w = greedy._lag_weights(k0 - m, m + 1, rp.dt, eta, g)
+        bound = greedy._far_bound(raw, xxc, a, far, k0, m + 1, w, 1 / g, 0.5 / g)
+        for b, (rows, *_) in enumerate(blocks):
+            rows = np.arange(m + 1)[rows]
+            weight = None if w is None else w[np.arange(k0, m + 1) - rows[:, None] - (k0 - m)]
+            cand = greedy._pair_costs(raw, xxc, a, rows, k0, m + 1, weight, 1 / g, 0.5 / g)
+            cand += dp[rows, None]
+            assert np.all(cand <= bound[b])
+
+
+def test_pruning_costs_a_fraction_of_the_pairs(monkeypatch):
+    # a dense fall-back would cost all n^2 / 2 pairs of a 2048-cell W
+    n = 2048
+    xs = 0.01 * rpm.sample_fbm(0.5, n, 4, horizon=32.0)
+    rp = rpm.lift_piecewise_linear(xs, 0.0, 1.0 / 64, gamma=0.49)
+    costed = []
+    pair_costs = greedy._pair_costs
+
+    def counting(*args):
+        cost = pair_costs(*args)
+        costed.append(cost.shape[0] * cost.shape[1])
+        return cost
+
+    monkeypatch.setattr(greedy, "_pair_costs", counting)
+    w = greedy.control_w(rp, 0.05, 0.0, 32.0)
+    assert w == ref_control_dp(rp, 0.05, 0, n, math.inf)[0][n]
+    assert sum(costed) < 0.4 * n * n / 2

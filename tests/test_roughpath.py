@@ -265,6 +265,12 @@ class TestPairSupKernel:
         assert rep.interval == (1.0, 4.0)
         assert (rep.seminorm_x, rep.seminorm_xx) == ref_holder(rp)
 
+    def test_lag_tables_built_once_and_read_only(self):
+        table = rpm._lag_table(8, 1 / 32, 0.4)
+        assert rpm._lag_table(8, 1 / 32, 0.4) is table
+        assert not table.flags.writeable
+        assert table[8:].tolist() == [(lag / 32) ** 0.4 for lag in range(1, 9)]
+
     def test_long_window_in_linear_memory(self):
         # 4096 cells: one dense n x n float matrix takes 128 MiB, and the
         # dense code built several
