@@ -320,13 +320,10 @@ def criterion_7() -> CriterionResult:
 
     model_g = _attractor_model(5e-4)
     cons_g = _attractor_constants(model_g)
-    n_acc = 0
-    for seed in range(50):
-        rp = sample_lift(_DESK_NOISE, seed, 14.0, -13.0, cons_g.gamma)
-        rep_a = att.absorbing_radius(rp, cons_g, truncation_k=12, model=model_g,
-                                     y0=model_g.state(unit_state(model_g, seed)),
-                                     ergodic=erg)
-        n_acc += bool(rep_a.accepted)
+    cases = [(sample_lift(_DESK_NOISE, seed, 14.0, -13.0, cons_g.gamma),
+              unit_state(model_g, seed)) for seed in range(50)]
+    n_acc = sum(bool(rep_a.accepted) for rep_a in
+                att.absorbing_radii(model_g, cases, cons_g, truncation_k=12, ergodic=erg))
     passed = decay_ok and rate_ok and n_acc >= 48  # >= 95% of 50
     return CriterionResult(7, "absorbing and pullback", passed,
                            f"gap margin {gap.margin:.3g}; contraction strictly decreasing: "
@@ -365,10 +362,6 @@ def criterion_8() -> CriterionResult:
 # criterion 9: determinism of the runner
 # ---------------------------------------------------------------------------
 
-def _run_cli(args) -> int:
-    return cli_mod.main(args)
-
-
 def criterion_9() -> CriterionResult:
     tmp = tempfile.mkdtemp(prefix="rpde_accept_")
     try:
@@ -376,12 +369,12 @@ def criterion_9() -> CriterionResult:
         out8 = os.path.join(tmp, "jobs8")
         replay = os.path.join(tmp, "replay")
         base = ["solve", "--seeds", "1,2,3", "--jobs", "1", "--out", out1]
-        if _run_cli(base) != 0:
+        if cli_mod.main(base) != 0:
             return CriterionResult(9, "determinism", False, "jobs=1 run failed")
-        if _run_cli(["solve", "--seeds", "1,2,3", "--jobs", "8", "--out", out8]) != 0:
+        if cli_mod.main(["solve", "--seeds", "1,2,3", "--jobs", "8", "--out", out8]) != 0:
             return CriterionResult(9, "determinism", False, "jobs=8 run failed")
-        if _run_cli(["--config", os.path.join(out1, "manifest.txt"),
-                     "--out", replay, "--jobs", "8"]) != 0:
+        if cli_mod.main(["--config", os.path.join(out1, "manifest.txt"),
+                         "--out", replay, "--jobs", "8"]) != 0:
             return CriterionResult(9, "determinism", False, "manifest replay failed")
         csvs = sorted(f for f in os.listdir(out1) if f.endswith(".csv"))
         if not csvs:

@@ -219,14 +219,6 @@ class BoundConstants:
             rows.append((name, getattr(self, name), self.provenance(name)))
         return rows
 
-    def config_pairs(self) -> dict:
-        pairs = {name: getattr(self, name) for name in _PRIMITIVE}
-        if self.n_tilde_override is not None:
-            pairs["n_tilde"] = self.n_tilde_override
-        for name in _DERIVED:
-            pairs[name] = getattr(self, name)
-        return pairs
-
 
 def constants_from_config(path: str, model: SpectralModel) -> BoundConstants:
     """Load primitives, rederive and cross-check any derived values on file."""
@@ -378,12 +370,9 @@ def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
     data = []
     for traj, rp, interval in cases:
         lhs = controlled_norm(model, traj, rp, interval).total
-        n = count_in_window(rp, constants.eta, constants.chi, *interval)
-        rep = holder_seminorm(rp, interval)
-        sx, sxx = rep.seminorm_x, rep.seminorm_xx
+        pc = eval_p_constants(rp, constants, interval)
         ynorm = model.frac_norm(traj.y[_traj_index(traj, interval[0])], model.alpha)
-        n_tilde = window_blocks(interval[1] - interval[0], constants.d_step)
-        data.append((lhs, n, sx, sxx, ynorm, n_tilde))
+        data.append((lhs, pc.n_greedy, pc.semi_x, pc.semi_xx, ynorm, pc.n_tilde))
 
     # d_step and m_tilde do not depend on m_big; an overflowing window has
     # rhs = inf (or nan when ynorm = 0) and never counts as a miss
@@ -445,16 +434,6 @@ def apriori_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
     return BoundCheck(lhs <= rhs, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class HPair:
-    """Window constants of the discrete chain estimate."""
-
-    h1: float
-    h2: float
-    rho: float
-    p: PConstants
-
-
 def h_values(constants: BoundConstants, rho: float, p1: float, p2: float) -> tuple:
     """H1 = C~1 CG rho^2 P1 and H2 = max(C~A e^lam, C~1 CG)(1 + rho^2 (1 + P2))."""
     h1 = constants.c_tilde_1 * constants.c_g * rho * rho * p1
@@ -463,15 +442,13 @@ def h_values(constants: BoundConstants, rho: float, p1: float, p2: float) -> tup
     return h1, h2
 
 
-def eval_h(rp: GridRoughPath, constants: BoundConstants, interval) -> HPair:
-    """The window constants H1, H2 (h_values) of one interval."""
-    pc = eval_p_constants(rp, constants, interval)
-    return HPair(*h_values(constants, pc.rho, pc.p1, pc.p2), pc.rho, pc)
-
-
 def discrete_chain_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
                          constants: BoundConstants, n: int) -> BoundCheck:
-    """Check |y_n| against the H-driven chain bound built by discrete Gronwall."""
+    """Check |y_n| against the H-driven chain bound built by discrete Gronwall.
+
+    Kept for the chain form of the a-priori bound, which no acceptance
+    criterion covers.
+    """
     constants.require_positive_gap_rate()
     if n < 1:
         raise ValueError("need n >= 1")
@@ -480,9 +457,8 @@ def discrete_chain_bound(model: SpectralModel, traj: ControlledPath, rp: GridRou
     h1s = np.empty(n)
     h2s = np.empty(n)
     for j in range(n):
-        pair = eval_h(rp, constants, (float(j), float(j + 1)))
-        h1s[j] = pair.h1
-        h2s[j] = pair.h2
+        pc = eval_p_constants(rp, constants, (float(j), float(j + 1)))
+        h1s[j], h2s[j] = h_values(constants, pc.rho, pc.p1, pc.p2)
     lam = constants.lam
     y0 = model.frac_norm(traj.y[0], model.alpha)
     cs = np.exp(lam * np.arange(n)) * h2s
@@ -605,11 +581,6 @@ class IntegrabilityReport:
     lp_p2: dict
     stability: dict  # even-window / odd-window split-half ratio per order
     n_windows: int
-
-    @property
-    def finite(self) -> bool:
-        vals = [*self.lp_core.values(), *self.lp_p1.values(), *self.lp_p2.values()]
-        return all(math.isfinite(v) for v in vals)
 
 
 def integrability_check(samples, constants: BoundConstants,
@@ -734,7 +705,6 @@ def _grid_eps_values(rp: GridRoughPath, eps_points: int) -> np.ndarray:
 
 def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
                      truncation_k: int = 40, eps_points: int = 11,
-                     model: SpectralModel | None = None, y0=None,
                      ergodic: ErgodicReport | None = None) -> AbsorbReport:
     """Truncated series for the random absorbing radius.
 
@@ -742,12 +712,9 @@ def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
     unit-window shift is taken over a grid-aligned epsilon grid, outside the
     truncated series. The window constants on [-1, 1] are realized as the
     epsilon-grid supremum of the unit-window values, matching how they enter
-    the chained estimate. When a model and an initial state are supplied, the
-    state is evolved over [-truncation_k, 0] and compared against the radius.
+    the chained estimate. absorbing_radii also evolves an initial state over
+    [-truncation_k, 0] and compares it against the radius.
     """
-    if model is not None and y0 is not None:
-        return absorbing_radii(model, [(rp, y0)], constants, truncation_k, eps_points,
-                               ergodic)[0]
     constants.require_positive_gap_rate()
     if truncation_k < 2:
         raise ValueError("need at least two series terms")

@@ -82,8 +82,11 @@ _KINDS = {"str": str, "int": int, "float": float, "bool": bool,
 # versions, as a setting no command read); ignored when one is replayed
 _BOOKKEEPING = ("config_hash", "package_version", "python_version", "numpy_version",
                 "wall_time_s", "beta_shift")
-# (key, requirement, test) of the settings that have a valid range
+# (key, requirement, test) of the settings that have a valid range; every
+# float setting and list element must also be finite
 _RANGES = (
+    ("seeds", "must be non-negative", lambda v: min(v) >= 0),
+    ("jobs", "must be at least 1", lambda v: v >= 1),
     ("hurst", "must lie in (1/3, 1]", lambda v: 1.0 / 3.0 < v <= 1.0),
     ("steps_per_unit", "must be at least 1", lambda v: v >= 1),
     ("horizon", "must be positive", lambda v: v > 0),
@@ -152,15 +155,19 @@ def load_experiment(path: str | None, overrides: dict) -> ExperimentConfig:
         raise ConfigError("no command given (positional argument or 'command' key)")
     if cfg.command not in COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}; choose from {COMMANDS}")
-    for key, need, valid in _RANGES:
-        if not valid(getattr(cfg, key)):
-            raise ConfigError(f"config key {key} {need}, got {getattr(cfg, key)!r}")
     try:
         offset = int(os.environ.get(SEED_ENV, "0"))
     except ValueError as exc:
         raise ConfigError(f"{SEED_ENV} must be an integer, got {os.environ[SEED_ENV]!r}") from exc
     if offset and "config_hash" not in pairs:
         cfg.seeds = tuple(s + offset for s in cfg.seeds)
+    for f in _SETTINGS:
+        value = getattr(cfg, f.name)
+        if _KINDS[f.type] is float and not np.isfinite(value).all():
+            raise ConfigError(f"config key {f.name} must be finite, got {value!r}")
+    for key, need, valid in _RANGES:
+        if not valid(getattr(cfg, key)):
+            raise ConfigError(f"config key {key} {need}, got {getattr(cfg, key)!r}")
     cfg.config_path = path or ""
     return cfg
 
@@ -456,9 +463,8 @@ def _pullback_task(cfg: ExperimentConfig, seed: int):
     rp = sample_lift(cfg, seed, span, -(span - 1.0), cons.gamma)
     cloud = unit_cloud(model, cfg.cloud_points, cfg.cloud_radius)
     report = att.pullback_estimate(model, cons, [(seed, rp)], cfg.t_list, cloud)
-    absorb = att.absorbing_radius(rp, cons, truncation_k=cfg.trunc_k,
-                                  eps_points=cfg.eps_points, model=model,
-                                  y0=model.state(cloud[0]))
+    absorb = att.absorbing_radii(model, [(rp, cloud[0])], cons, truncation_k=cfg.trunc_k,
+                                 eps_points=cfg.eps_points)[0]
     rows = []
     blow_ups = []
     for row in report.rows:

@@ -367,7 +367,8 @@ def rough_metric(a: GridRoughPath, b: GridRoughPath, interval=None) -> float:
 
     Sum of the first-level seminorm of the difference path and the
     second-level seminorm of the difference of the Chen reconstructions.
-    rho(a) is recovered as the distance of a to a zero path.
+    rho(a) is recovered as the distance of a to a zero path. Kept for the
+    convergence of nested lifts, which no acceptance criterion covers.
     """
     if a.n_cells != b.n_cells or a.dt != b.dt or a.t0 != b.t0:
         raise ValueError("paths must share the same grid")
@@ -386,11 +387,6 @@ def rough_metric(a: GridRoughPath, b: GridRoughPath, interval=None) -> float:
     return best1 + best2
 
 
-def zero_path_like(rp: GridRoughPath) -> GridRoughPath:
-    z = np.zeros_like(rp.x)
-    return GridRoughPath(rp.t0, rp.dt, z, np.zeros_like(rp.xx), rp.gamma, x_raw=z)
-
-
 def shift(rp: GridRoughPath, r: float) -> GridRoughPath:
     """Time shift by a grid multiple r >= 0: the sampled realization of theta_r.
 
@@ -407,16 +403,12 @@ def shift(rp: GridRoughPath, r: float) -> GridRoughPath:
     return GridRoughPath(rp.t0, rp.dt, raw - raw[0], rp.xx[k:], rp.gamma, x_raw=raw)
 
 
-def retime(rp: GridRoughPath, t0: float) -> GridRoughPath:
-    """Same sampled data on a relabeled clock starting at t0."""
-    return GridRoughPath(t0, rp.dt, rp.x, rp.xx, rp.gamma, x_raw=rp.x_raw)
-
-
 def coarsen(rp: GridRoughPath, factor: int) -> GridRoughPath:
     """Restriction to every factor-th grid point, second level Chen-aggregated.
 
-    Used to compare lifts living on nested dyadic grids in the common coarse
-    metric.
+    The noise of a solver step of factor cells (solver.solve_mild on the
+    result), and the common coarse grid on which rough_metric compares lifts
+    on nested dyadic grids, the convergence no acceptance criterion covers.
     """
     if factor < 1 or rp.n_cells % factor != 0:
         raise ValueError(f"factor {factor} must divide the cell count {rp.n_cells}")
@@ -431,12 +423,6 @@ def coarsen(rp: GridRoughPath, factor: int) -> GridRoughPath:
     return GridRoughPath(rp.t0, rp.dt * factor, raw - raw[0], xx, rp.gamma, x_raw=raw)
 
 
-def chen_defect(rp: GridRoughPath, i: int, u: int, j: int) -> float:
-    """Residual of Chen's relation on the grid triple (i, u, j)."""
-    return (rp.second_level(i, j) - rp.second_level(i, u) - rp.second_level(u, j)
-            - rp.increment(i, u) * rp.increment(u, j))
-
-
 def save_csv(rp: GridRoughPath, path: str) -> None:
     """Serialize as ``t,x,xx_cell`` rows; xx on the cell's left endpoint row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -445,23 +431,3 @@ def save_csv(rp: GridRoughPath, path: str) -> None:
         for k in range(rp.x.size):
             xx = repr(float(rp.xx[k])) if k < rp.n_cells else ""
             fh.write(f"{float(times[k])!r},{float(rp.x[k])!r},{xx}\n")
-
-
-def load_csv(path: str, gamma: float = 0.5) -> GridRoughPath:
-    times, xs, xxs = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t,x,xx_cell":
-            raise ValueError(f"unexpected header {header!r}")
-        for line in fh:
-            t_s, x_s, xx_s = line.rstrip("\n").split(",")
-            times.append(float(t_s))
-            xs.append(float(x_s))
-            if xx_s:
-                xxs.append(float(xx_s))
-    if len(xs) < 2:
-        raise ValueError("path file holds fewer than two samples")
-    if len(xxs) != len(xs) - 1:
-        raise ValueError("cell column must be empty exactly on the last row")
-    dt = (times[-1] - times[0]) / (len(xs) - 1)
-    return GridRoughPath(times[0], dt, np.asarray(xs), np.asarray(xxs), gamma)

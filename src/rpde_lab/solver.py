@@ -94,6 +94,8 @@ def rough_convolution(model: SpectralModel, z: ControlledPath, rp: GridRoughPath
     Sums S_(t-u) (z_u X[u,v] + z'_u XX[u,v]) over the grid cells of [s, t].
     beta_out only labels the output space E_(alpha - 2 gamma + beta_out) and
     must stay below 3 gamma, mirroring the regularity window of the limit.
+    Kept for the sewing-germ defect of order 3 gamma - beta_out, which no
+    acceptance criterion covers.
     """
     gamma = rp.gamma
     if beta_out >= 3.0 * gamma:
@@ -153,20 +155,19 @@ def _euler_step(model: SpectralModel, cur: np.ndarray, work, decay: np.ndarray,
     return g, decay * (cur + model.f_values(cur) * step + g * x + dg_g * xx)
 
 
-def solve_mild(model: SpectralModel, y0, rp: GridRoughPath,
-               horizon: float | None = None, cells_per_step: int = 1) -> ControlledPath:
+def solve_mild(model: SpectralModel, y0, rp: GridRoughPath) -> ControlledPath:
     """Exponential rough Euler trajectory driven by rp, started at y0.
 
-    The solver grid coincides with the noise grid thinned by cells_per_step
-    (increments over grouped cells are Chen-aggregated). A state that is not
-    finite or exceeds 1e150, and a non-finite y' row, abort with a
-    NumericsError naming the first bad time (t_bad).
+    The solver grid is the noise grid of rp: a shorter span is rp.window(s, t)
+    and a coarser step is roughpath.coarsen(rp, k), whose cells Chen-aggregate
+    k noise cells. A state that is not finite or exceeds 1e150, and a
+    non-finite y' row, abort with a NumericsError naming the first bad time
+    (t_bad).
     """
-    return solve_many(model, [y0], [rp], horizon, cells_per_step)[0]
+    return solve_many(model, [y0], [rp])[0]
 
 
-def solve_many(model: SpectralModel, y0s, rps, horizon: float | None = None,
-               cells_per_step: int = 1) -> list:
+def solve_many(model: SpectralModel, y0s, rps) -> list:
     """solve_mild of each (y0, rp) pair, the pairs stepped as one block.
 
     The rough paths must share one grid: the same t0, dt and cell count. Each
@@ -185,25 +186,13 @@ def solve_many(model: SpectralModel, y0s, rps, horizon: float | None = None,
     rp = rps[0]
     if any((p.t0, p.dt, p.n_cells) != (rp.t0, rp.dt, rp.n_cells) for p in rps):
         raise ValueError("the rough paths must share one grid (t0, dt and cell count)")
-    if cells_per_step < 1 or rp.n_cells % cells_per_step:
-        raise ValueError("cells_per_step must divide the cell count")
-    n_cells = rp.n_cells
-    if horizon is not None:
-        n_cells = int(round(horizon / rp.dt))
-        if abs(n_cells * rp.dt - horizon) > 1e-9 or n_cells < 1 or n_cells > rp.n_cells:
-            raise ValueError("horizon must be a grid multiple inside the sampled span")
-        if n_cells % cells_per_step:
-            raise ValueError("horizon must be a multiple of the solver step")
-    n_steps = n_cells // cells_per_step
-    step = cells_per_step * rp.dt
+    n_steps, step = rp.n_cells, rp.dt
     decay = model.semigroup_factors(step)
     # first- and second-level increments of each step and row
     incs = np.empty((2, n_steps, len(rps), 1))
     for r, p in enumerate(rps):
-        incs[0, :, r, 0] = np.diff(p.x_raw[:n_cells + 1:cells_per_step])
-        incs[1, :, r, 0] = (p.xx[:n_cells] if cells_per_step == 1 else
-                            [p.second_level(c, c + cells_per_step)
-                             for c in range(0, n_cells, cells_per_step)])
+        incs[0, :, r, 0] = np.diff(p.x_raw)
+        incs[1, :, r, 0] = p.xx
     work = model.kernel_work()
     y = np.empty((len(rps), n_steps + 1, model.n_modes))
     yp = np.empty_like(y)
@@ -228,7 +217,7 @@ def solve_many(model: SpectralModel, y0s, rps, horizon: float | None = None,
                 # this row fails first in input order unless an earlier one
                 # fails later: drop it and every later row, step the rest on
                 live = int(np.argmin(size.reshape(live, -1).max(axis=1) <= _BLOW_CAP))
-                blow_up = rp.t0 + (k + 1) * cells_per_step * rp.dt
+                blow_up = rp.t0 + (k + 1) * rp.dt
                 if not live:
                     break
                 ys, yps, xs, xxs = stepped(live)
@@ -236,7 +225,7 @@ def solve_many(model: SpectralModel, y0s, rps, horizon: float | None = None,
             ys[k + 1] = nxt
         if live:
             yps[n_steps] = _g_and_dg_rows(model, ys[n_steps], work)[0]
-    times = rp.t0 + step * np.arange(n_steps + 1)
+    times = rp.times
     finite = np.isfinite(yp[:live]).all(axis=2)
     if not finite.all():
         t_bad = float(times[np.argmin(finite[np.argmin(finite.all(axis=1))])])
@@ -309,12 +298,11 @@ def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPat
         hi = int(round((t - path.times[0]) / path.dt))
         if not (0 <= lo <= hi < path.times.size):
             raise ValueError(f"interval {interval} outside the solved span")
+    if abs(path.dt - rp.dt) > 1e-12 * rp.dt:
+        raise ValueError("path and noise must share the grid step")
     y = path.y[lo:hi + 1]
     yp = path.y_prime[lo:hi + 1]
-    base = rp.index(path.times[lo])
-    stride = int(round(path.dt / rp.dt))
-    raw_idx = base + stride * np.arange(hi - lo + 1)
-    xvals = rp.x_raw[raw_idx]
+    xvals = rp.x_raw[rp.index(path.times[lo]):rp.index(path.times[hi]) + 1]
 
     sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
     sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
@@ -350,6 +338,10 @@ def composition_pair(model: SpectralModel, path: ControlledPath) -> ControlledPa
 
 def composition_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPath,
                      interval=None) -> ControlledNorm:
-    """Controlled norm of (G(y), (G(y))') measured one sigma_g lower in space."""
+    """Controlled norm of (G(y), (G(y))') measured one sigma_g lower in space.
+
+    Kept for the composition estimate |G(y)|_D <= C rho (1 + |y|_D), which no
+    acceptance criterion covers.
+    """
     pair = composition_pair(model, path)
     return controlled_norm(model, pair, rp, interval, alpha=model.alpha - model.sigma_g)

@@ -46,14 +46,6 @@ class MlBoundCertificate:
         self.z_max = float(z_max)
         self.n_grid = int(n_grid)
 
-    def verify(self, zs) -> bool:
-        """Re-check the certified inequality on fresh points of the interval."""
-        zs = np.asarray(zs, dtype=float)
-        if np.any(zs < self.z_min) or np.any(zs > self.z_max):
-            raise ValueError("verification points must lie inside [z_min, z_max]")
-        lhs = ml_derivative_array(self.beta, zs)
-        return bool(np.all(lhs <= self.m_beta * np.exp(2.0 * zs)))
-
 
 def gamma_fn(z: float) -> float:
     """Gamma function for positive real arguments."""

@@ -49,16 +49,17 @@ class SpectralState:
 
 
 class IntegralKernel:
-    """Smooth bounded kernel g(xi, v) with derivatives in v up to order three.
+    """Smooth bounded kernel g(xi, v) and its first derivative d1 in v.
 
-    deriv_bound must be a finite bound for |D_v^k g|, k = 0..3; configurations
-    with an unbounded kernel derivative are rejected.
+    deriv_bound must be a finite bound for g and its derivatives in v; it
+    states the C^3_b assumption of the paper on the diffusion coefficient.
+    Configurations with an unbounded kernel derivative are rejected.
     """
 
-    def __init__(self, g, d1, d2, d3, deriv_bound: float):
+    def __init__(self, g, d1, deriv_bound: float):
         if not math.isfinite(deriv_bound):
             raise ConfigError("integral kernel requires a finite derivative bound")
-        self.g, self.d1, self.d2, self.d3 = g, d1, d2, d3
+        self.g, self.d1 = g, d1
         self.deriv_bound = float(deriv_bound)
 
 
@@ -78,17 +79,7 @@ def _default_kernel(c_g: float) -> IntegralKernel:
         t = np.tanh(v + shift)
         return scale * (1.0 - t * t)
 
-    def d2(xi, v):
-        scale, shift = _tanh_parts(c_g, xi)
-        t = np.tanh(v + shift)
-        return scale * (-2.0 * t * (1.0 - t * t))
-
-    def d3(xi, v):
-        scale, shift = _tanh_parts(c_g, xi)
-        t = np.tanh(v + shift)
-        return scale * (-2.0 * (1.0 - t * t) * (1.0 - 3.0 * t * t))
-
-    return IntegralKernel(g, d1, d2, d3, deriv_bound=2.0 * abs(c_g))
+    return IntegralKernel(g, d1, deriv_bound=2.0 * abs(c_g))
 
 
 def smoothing_constant(sigma: float, lam: float, mu1: float) -> float:
@@ -180,10 +171,6 @@ class SpectralModel:
 
     # -- spaces ---------------------------------------------------------
 
-    def state(self, coeffs, alpha: float | None = None) -> SpectralState:
-        return SpectralState(np.asarray(coeffs, dtype=float),
-                             self.alpha if alpha is None else alpha)
-
     def frac_norm(self, state, alpha: float) -> float:
         """Norm of the state in the fractional space of index alpha."""
         coeffs = state.coeffs if isinstance(state, SpectralState) else np.asarray(state, dtype=float)
@@ -202,13 +189,6 @@ class SpectralModel:
             raise ValueError("semigroup time must be nonnegative")
         return np.exp(-self.mu * t)
 
-    def semigroup_apply(self, t: float, state: SpectralState) -> SpectralState:
-        return SpectralState(self.semigroup_factors(t) * state.coeffs, state.alpha)
-
-    def smoothing_constant(self, sigma: float, lam: float) -> float:
-        """smoothing_constant(sigma, lam, mu_1) of this model's bottom eigenvalue."""
-        return smoothing_constant(sigma, lam, float(self.mu[0]))
-
     # -- drift ----------------------------------------------------------
 
     def f_values(self, y: np.ndarray) -> np.ndarray:
@@ -216,7 +196,9 @@ class SpectralModel:
         return self._f_scale * np.tanh(y)
 
     def apply_f(self, state: SpectralState) -> SpectralState:
-        """Mode-wise saturating drift, Lipschitz c_f from alpha to alpha - sigma_f."""
+        """Mode-wise saturating drift, Lipschitz c_f from alpha to alpha - sigma_f.
+
+        The SpectralState form of f_values; perfbench traces it by this name."""
         return SpectralState(self.f_values(state.coeffs), state.alpha - self.sigma_f)
 
     # -- diffusion ------------------------------------------------------
@@ -227,13 +209,11 @@ class SpectralModel:
     def _project(self, point_vals: np.ndarray) -> np.ndarray:
         return self._basis @ (self._weights * point_vals)
 
-    def _integral_values(self, fn, u: np.ndarray, h=None, h2=None, h3=None) -> np.ndarray:
-        """Evaluate xi_j -> int fn(xi_j, u(x)) * [h(x) ...] dx on the nodes."""
-        xi = self._nodes[:, None]
-        vals = fn(xi, u[None, :])
-        for extra in (h, h2, h3):
-            if extra is not None:
-                vals = vals * extra[None, :]
+    def _integral_values(self, fn, u: np.ndarray, h=None) -> np.ndarray:
+        """Evaluate xi_j -> int fn(xi_j, u(x)) [h(x)] dx on the nodes."""
+        vals = fn(self._nodes[:, None], u[None, :])
+        if h is not None:
+            vals = vals * h[None, :]
         return vals @ self._weights
 
     def kernel_work(self) -> np.ndarray | None:
@@ -298,31 +278,14 @@ class SpectralModel:
         return g, self._dg_on_grid(work, g)
 
     def apply_g(self, state: SpectralState) -> SpectralState:
-        """Diffusion coefficient: diagonal fractional power or integral operator."""
+        """Diffusion coefficient: diagonal fractional power or integral operator.
+
+        The SpectralState form of g_values; perfbench traces it by this name."""
         return SpectralState(self.g_values(state.coeffs), state.alpha - self.sigma_g)
 
     def apply_dg(self, state: SpectralState, h: SpectralState) -> SpectralState:
+        """DG(state)[h]; the SpectralState form that perfbench traces by this name."""
         return SpectralState(self._dg_values(state.coeffs, h.coeffs), state.alpha - self.sigma_g)
-
-    def apply_d2g(self, state: SpectralState, h1: SpectralState, h2: SpectralState) -> SpectralState:
-        if self.g_kind == "linear":
-            out = np.zeros_like(state.coeffs)
-        else:
-            u = self._point_values(state.coeffs)
-            out = self._basis @ (self._weights * self._integral_values(
-                self.kernel.d2, u, self._point_values(h1.coeffs), self._point_values(h2.coeffs)))
-        return SpectralState(out, state.alpha - self.sigma_g)
-
-    def apply_d3g(self, state: SpectralState, h1: SpectralState, h2: SpectralState,
-                  h3: SpectralState) -> SpectralState:
-        if self.g_kind == "linear":
-            out = np.zeros_like(state.coeffs)
-        else:
-            u = self._point_values(state.coeffs)
-            out = self._basis @ (self._weights * self._integral_values(
-                self.kernel.d3, u, self._point_values(h1.coeffs),
-                self._point_values(h2.coeffs), self._point_values(h3.coeffs)))
-        return SpectralState(out, state.alpha - self.sigma_g)
 
     @property
     def c_g_bound(self) -> float:
@@ -337,16 +300,9 @@ class SpectralModel:
             return abs(self.c_g)
         return self.kernel.deriv_bound
 
-    def config_pairs(self) -> dict:
-        return {
-            "n_modes": self.n_modes, "lambda_a": self.lambda_a, "alpha": self.alpha,
-            "sigma_f": self.sigma_f, "sigma_g": self.sigma_g,
-            "c_f": self.c_f, "c_g": self.c_g, "g_kind": self.g_kind,
-        }
-
 
 def model_from_config(path: str) -> SpectralModel:
-    """Build a model from a plain key-value file (see config_pairs for keys)."""
+    """Build a model from a key-value file whose keys are SpectralModel's scalar arguments."""
     cfg = load_kv_file(path)
     return SpectralModel(
         n_modes=get_typed(cfg, "n_modes", int),

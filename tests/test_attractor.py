@@ -78,11 +78,12 @@ class TestConstants:
         model = desk_model(c_g=5e-4)
         cons = desk_constants(model)
         path = tmp_path / "constants.txt"
-        write_kv_file(str(path), cons.config_pairs())
+        pairs = {name: getattr(cons, name) for name in att._PRIMITIVE + att._DERIVED}
+        pairs["n_tilde"] = cons.n_tilde_override
+        write_kv_file(str(path), pairs)
         again = att.constants_from_config(str(path), model)
         assert again == cons
-        tampered = cons.config_pairs()
-        tampered["c_tilde_1"] = 123.0
+        tampered = dict(pairs, c_tilde_1=123.0)
         write_kv_file(str(path), tampered)
         with pytest.raises(ConfigError, match="does not match"):
             att.constants_from_config(str(path), model)
@@ -244,24 +245,28 @@ class TestApriori:
             assert apr.passed and chain.passed
 
 
+def eval_h(rp, cons, interval):
+    """The window constants (H1, H2) of one interval."""
+    pc = att.eval_p_constants(rp, cons, interval)
+    return att.h_values(cons, pc.rho, pc.p1, pc.p2)
+
+
 class TestH:
     def test_zero_noise_collapse(self):
         model = desk_model(c_g=5e-4)
         cons = desk_constants(model)
-        pair = att.eval_h(zero_lift(1.0, 0.0), cons, (0.0, 1.0))
-        assert pair.h1 == 0.0
+        h1, h2 = eval_h(zero_lift(1.0, 0.0), cons, (0.0, 1.0))
+        assert h1 == 0.0
         expected = max(cons.c_tilde_a * math.exp(cons.lam),
                        cons.c_tilde_1 * cons.c_g)
-        assert pair.h2 == pytest.approx(expected, rel=1e-12)
+        assert h2 == pytest.approx(expected, rel=1e-12)
 
     def test_shift_equivariance_exact(self):
         model = desk_model(c_g=5e-4)
         cons = desk_constants(model)
         rp = scaled_lift(3, 3.0, 0.0, scale=0.02)
         sh = rpm.shift(rp, 1.0)
-        a = att.eval_h(sh, cons, (0.0, 1.0))
-        b = att.eval_h(rp, cons, (1.0, 2.0))
-        assert a.h1 == b.h1 and a.h2 == b.h2
+        assert eval_h(sh, cons, (0.0, 1.0)) == eval_h(rp, cons, (1.0, 2.0))
 
 
 class TestErgodic:
@@ -296,7 +301,8 @@ class TestIntegrability:
         cons = desk_constants(model)
         samples = [scaled_lift(seed, 4.0, 0.0) for seed in range(30)]
         report = att.integrability_check(samples, cons)
-        assert report.finite
+        norms = (report.lp_core, report.lp_p1, report.lp_p2)
+        assert all(math.isfinite(v) for lp in norms for v in lp.values())
         assert report.n_windows == 120
         # L^p norms are nondecreasing in p, and halving the ensemble moves the
         # estimates by far less than a heavy tail would
@@ -352,9 +358,9 @@ class TestAbsorbingRadius:
         cons = desk_constants(model)
         rp = zero_lift(14.0, -13.0)
         rep = att.absorbing_radius(rp, cons, truncation_k=12)
-        pair = att.eval_h(rp, cons, (-1.0, 0.0))
+        h2 = eval_h(rp, cons, (-1.0, 0.0))[1]
         lam = cons.lam
-        closed = pair.h2 * math.exp(-lam) / (1.0 - math.exp(-lam))
+        closed = h2 * math.exp(-lam) / (1.0 - math.exp(-lam))
         assert rep.r_value == pytest.approx(closed, rel=1e-10)
         assert rep.radius == pytest.approx(
             1.0 + rep.p1_val * rep.r_value + rep.p2_val + cons.delta_bar)
@@ -397,7 +403,10 @@ class TestAbsorbingRadius:
         rp = scaled_lift(7, trunc + 2.0 + k_max, -(trunc + 1.0 + k_max), scale=0.01)
         ratios = []
         for k in range(k_max + 1):
-            window = rpm.retime(rp.window(-trunc - 1.0 - k, 1.0 - k), -(trunc + 1.0))
+            # the window, relabeled onto the clock [-(trunc + 1), 1]
+            sub = rp.window(-trunc - 1.0 - k, 1.0 - k)
+            window = rpm.GridRoughPath(-(trunc + 1.0), sub.dt, sub.x, sub.xx, sub.gamma,
+                                       x_raw=sub.x_raw)
             rep = att.absorbing_radius(window, cons, truncation_k=trunc)
             ratios.append(max(math.log(rep.radius), 0.0) / (k + 1))
         assert all(np.isfinite(ratios))
@@ -491,8 +500,7 @@ class TestAbsorbingRadii:
             assert rep.accepted == (final_norm <= alone.radius)
             assert np.array_equal(rep.series_terms, alone.series_terms)
             assert rep.radius == alone.radius and rep.tail_bound == alone.tail_bound
-            one = att.absorbing_radius(rp, cons, truncation_k=6, eps_points=5,
-                                       model=model, y0=y0)
+            one = att.absorbing_radii(model, [(rp, y0)], cons, truncation_k=6, eps_points=5)[0]
             assert (one.final_norm, one.accepted) == (rep.final_norm, rep.accepted)
 
     def test_errors_in_case_order(self):

@@ -6,9 +6,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from rpde_lab import cli, roughpath
+from rpde_lab import cli
 from rpde_lab.configio import load_kv_file, write_kv_file
 
 
@@ -19,6 +20,7 @@ def run(args):
 # small configs of the pool commands (seeds, sizes); bounds also gets a model
 SMALL = {
     "solve": "seeds = 5,6,7\n",
+    "greedy": "seeds = 3,4,5\nhorizon = 2.0\n",
     "absorb": "seeds = 1,2\ntrunc_k = 4\neps_points = 5\n",
     "pullback": "seeds = 1\ntrunc_k = 3\neps_points = 5\nt_list = 1,2\ncloud_points = 2\n",
     "bounds": "seeds = 50,51,52\ntrain_seeds = 12\nhorizon = 4.0\nsteps_per_unit = 64\n",
@@ -42,8 +44,10 @@ class TestBasics:
     def test_lift_writes_paths(self, tmp_path):
         out = tmp_path / "lift"
         assert run(["lift", "--seeds", "1,2", "--out", str(out)]) == 0
-        rp = roughpath.load_csv(str(out / "path_seed1.csv"), gamma=0.49)
-        assert rp.n_cells == 4 * 32  # default horizon times steps per unit
+        t, x, xx = np.genfromtxt(str(out / "path_seed1.csv"), delimiter=",", skip_header=1,
+                                 unpack=True)
+        assert t.size - 1 == 4 * 32  # default horizon times steps per unit
+        assert x[0] == 0.0 and np.isnan(xx[-1]) and np.isfinite(xx[:-1]).all()
         assert (out / "manifest.txt").exists()
 
     def test_greedy_schema(self, tmp_path):
@@ -128,12 +132,20 @@ class TestExitCodes:
         ("bounds", "horizon = 1.3", None, "horizon"),
         ("bounds", "calib_margin = -2", None, "calib_margin"),
         ("pullback", "cloud_radius = -1", None, "cloud_radius"),
+        # values the range tests above would pass or that crash later
+        ("absorb", "seeds = -1", None, "seeds"),
+        ("absorb", "noise_scale = nan", None, "noise_scale"),
+        ("lift", "horizon = inf", None, "horizon"),
+        ("pullback", "t_list = 2,nan", None, "t_list"),
+        ("absorb", "jobs = 0", None, "jobs"),
+        ("absorb", "jobs = -3", None, "jobs"),
     ], ids=["seed_offset", "steps_per_unit", "hurst", "trunc_k", "t_list_parse",
             "t_list_range", "eps_points", "cloud_points", "q_moment", "train_seeds",
             "lift_one_cell", "solve_one_cell", "greedy_one_cell", "bounds_one_cell",
             "ergodic_short_horizon",
             "bounds_short_horizon", "ergodic_off_unit_grid", "bounds_off_unit_grid",
-            "calib_margin", "cloud_radius"])
+            "calib_margin", "cloud_radius", "negative_seed", "nan_noise_scale",
+            "inf_horizon", "nan_in_t_list", "zero_jobs", "negative_jobs"])
     def test_bad_value(self, tmp_path, monkeypatch, capsys, command, line, env, key):
         if env is not None:
             monkeypatch.setenv(cli.SEED_ENV, env)

@@ -140,7 +140,8 @@ class TestChen:
             i, u, j = np.sort(raw)
             if i == u or u == j:
                 continue
-            defect = rpm.chen_defect(rp, i, u, j)
+            defect = (rp.second_level(i, j) - rp.second_level(i, u) - rp.second_level(u, j)
+                      - rp.increment(i, u) * rp.increment(u, j))
             assert abs(defect) <= 1e-12 * (1.0 + abs(rp.second_level(i, j)))
 
 
@@ -152,7 +153,8 @@ class TestMetric:
     def test_distance_to_zero_is_rho(self):
         xs = rpm.sample_fbm(0.5, 64, seed=4)
         rp = rpm.lift_piecewise_linear(xs, 0.0, 1 / 64, gamma=0.4)
-        rho = rpm.rough_metric(rp, rpm.zero_path_like(rp))
+        zero = rpm.GridRoughPath(rp.t0, rp.dt, np.zeros_like(rp.x), np.zeros_like(rp.xx), rp.gamma)
+        rho = rpm.rough_metric(rp, zero)
         expected = rpm.holder_seminorm(rp).rho
         assert rho == pytest.approx(expected, rel=1e-12)
 
@@ -356,7 +358,9 @@ class TestSerialization:
         rp = rpm.lift_piecewise_linear(xs, 0.0, 1 / 48, gamma=0.4)
         path = tmp_path / "path.csv"
         rpm.save_csv(rp, str(path))
-        back = rpm.load_csv(str(path), gamma=0.4)
+        t, x, xx = np.genfromtxt(str(path), delimiter=",", skip_header=1, unpack=True)
+        back = rpm.GridRoughPath(t[0], t[1] - t[0], x, xx[:-1], 0.4)
+        assert np.array_equal(t, rp.times)
         assert np.array_equal(back.x, rp.x)
         assert np.array_equal(back.xx, rp.xx)
         path2 = tmp_path / "again.csv"

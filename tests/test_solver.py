@@ -16,6 +16,13 @@ def brownian_lift(seed, n=256, gamma=0.5, scale=1.0, horizon=1.0, t0=0.0):
     return rpm.lift_piecewise_linear(xs, t0, horizon / n, gamma=gamma)
 
 
+def solver_grid(rp, horizon=None, cells_per_step=1):
+    """The noise of a solve over [t0, t0 + horizon] in steps of cells_per_step cells."""
+    if horizon is not None:
+        rp = rp.window(rp.t0, rp.t0 + horizon)
+    return rpm.coarsen(rp, cells_per_step)
+
+
 def controlled(times, y_rows, yp_rows, gamma=0.5):
     return solver.ControlledPath(np.asarray(times), np.asarray(y_rows),
                                  np.asarray(yp_rows), gamma)
@@ -173,7 +180,7 @@ class TestSolveMild:
         rp = brownian_lift(5, n=64, scale=0.1)
         path = solver.solve_mild(model, np.ones(6) / 3.0, rp)
         for k in (0, 10, 64):
-            g = model.apply_g(model.state(path.y[k])).coeffs
+            g = model.apply_g(SpectralState(path.y[k], model.alpha)).coeffs
             assert np.array_equal(path.y_prime[k], g)
 
     def test_cocycle_property_bitwise(self):
@@ -187,9 +194,12 @@ class TestSolveMild:
     def test_coarser_solution_grid(self):
         model = SpectralModel(4, lambda_a=2.0, c_g=0.05)
         rp = brownian_lift(7, n=128, scale=0.2)
-        path = solver.solve_mild(model, np.ones(4), rp, cells_per_step=4)
+        path = solver.solve_mild(model, np.ones(4), rpm.coarsen(rp, 4))
         assert path.times.size == 33
         assert path.dt == pytest.approx(4 / 128)
+        y, yp, t_bad = ref_solve_mild(model, np.ones(4), rp, cells_per_step=4)
+        assert t_bad is None
+        assert np.array_equal(path.y, y) and np.array_equal(path.y_prime, yp)
 
     def test_blowup_diagnostic_names_first_time(self):
         # the exact t_bad of the per-step loop; the large state blows up on
@@ -217,7 +227,7 @@ class TestSolveMild:
             return 0.0 * xi * v
 
         model = SpectralModel(1, lambda_a=1.0, g_kind="integral",
-                              kernel=IntegralKernel(g, zero, zero, zero, deriv_bound=1.0))
+                              kernel=IntegralKernel(g, zero, deriv_bound=1.0))
         rp = rpm.lift_piecewise_linear(np.zeros(n + 1), 0.0, 1.0 / n)
         with pytest.raises(NumericsError, match="not finite") as err:
             solver.solve_mild(model, np.ones(1), rp)
@@ -240,18 +250,23 @@ class TestSolveMild:
                                   c_f=0.6, c_g=0.4)
         rp = brownian_lift(16, n=128, horizon=2.0, scale=0.3)
         y0 = np.random.default_rng(17).standard_normal(model.n_modes)
-        path = solver.solve_mild(model, y0, rp, horizon=horizon, cells_per_step=cells_per_step)
+        path = solver.solve_mild(model, y0, solver_grid(rp, horizon, cells_per_step))
         y, yp, t_bad = ref_solve_mild(model, y0, rp, horizon, cells_per_step)
         assert t_bad is None
         assert path.times.size == (128 if horizon is None else 80) // cells_per_step + 1
+        assert np.array_equal(path.times, rp.t0 + cells_per_step * rp.dt * np.arange(len(y)))
         assert np.array_equal(path.y, y)
         assert np.array_equal(path.y_prime, yp)
 
     def test_horizon_validation(self):
-        model = SpectralModel(2, lambda_a=1.0)
+        # a shorter solve is a window of the noise, which must lie inside it
+        # and hold a cell; a coarser one a cell count that divides it
         rp = brownian_lift(9, n=32)
-        with pytest.raises(ValueError):
-            solver.solve_mild(model, np.ones(2), rp, horizon=2.0)
+        for s, t in ((0.0, 2.0), (-0.5, 1.0), (0.5, 0.5), (0.0, 0.01)):
+            with pytest.raises(ValueError):
+                rp.window(s, t)
+        with pytest.raises(ValueError, match="must divide"):
+            rpm.coarsen(rp.window(0.0, 0.3125), 4)
 
 
 def drift_model():
@@ -263,7 +278,8 @@ class TestSolveMany:
 
     @staticmethod
     def check(model, y0s, rps, horizon=None, cells_per_step=1):
-        paths = solver.solve_many(model, y0s, rps, horizon, cells_per_step)
+        paths = solver.solve_many(model, y0s, [solver_grid(rp, horizon, cells_per_step)
+                                               for rp in rps])
         assert len(paths) == len(rps)
         for path, y0, rp in zip(paths, y0s, rps):
             y, yp, t_bad = ref_solve_mild(model, y0, rp, horizon, cells_per_step)
@@ -334,7 +350,7 @@ class TestSolveMany:
             return 0.0 * xi * v
 
         model = SpectralModel(1, lambda_a=1.0, g_kind="integral",
-                              kernel=IntegralKernel(g, zero, zero, zero, deriv_bound=1.0))
+                              kernel=IntegralKernel(g, zero, deriv_bound=1.0))
         rp = rpm.lift_piecewise_linear(np.zeros(n + 1), 0.0, 1.0 / n)
         ones, huge = np.ones(1), np.full(1, 1e151)
         with pytest.raises(NumericsError, match="not finite") as err:
@@ -468,18 +484,33 @@ class TestControlledNorm:
         # batch shape, which can move the last bit
         model = SpectralModel(n_modes, lambda_a=2.0, c_g=0.3, sigma_g=sigma_g)
         rp = brownian_lift(15, n=140 * cells_per_step, horizon=140 / 64, scale=0.3)
-        path = solver.solve_mild(model, np.ones(n_modes) / 2.0, rp, cells_per_step=cells_per_step)
+        coarse = rpm.coarsen(rp, cells_per_step)
+        path = solver.solve_mild(model, np.ones(n_modes) / 2.0, coarse)
+        y, yp, _ = ref_solve_mild(model, np.ones(n_modes) / 2.0, rp, cells_per_step=cells_per_step)
+        assert np.array_equal(path.y, y) and np.array_equal(path.y_prime, yp)
         pair = solver.composition_pair(model, path)
         step = path.dt
         for lo, steps in ((0, 1), (5, 2), (3, 63), (7, 64), (0, 65), (10, 130)):
             interval = (lo * step, (lo + steps) * step)
             for traj, alpha in ((path, model.alpha), (pair, model.alpha - model.sigma_g)):
-                got = solver.controlled_norm(model, traj, rp, interval, alpha=alpha)
+                # measured against the coarse noise: the reference's strided read of rp
+                got = solver.controlled_norm(model, traj, coarse, interval, alpha=alpha)
                 want = ref_controlled_norm(model, traj, rp, interval, alpha)
                 for name in ("sup_y", "sup_yp", "hol_yp", "rem_g", "rem_2g"):
                     assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0.0)
-            assert solver.composition_norm(model, path, rp, interval) == \
-                solver.controlled_norm(model, pair, rp, interval, alpha=model.alpha - model.sigma_g)
+            assert solver.composition_norm(model, path, coarse, interval) == \
+                solver.controlled_norm(model, pair, coarse, interval, alpha=model.alpha - model.sigma_g)
+
+    def test_path_off_the_noise_grid_is_rejected(self):
+        # a trajectory on a coarser grid than the noise it is measured against
+        model = SpectralModel(4, lambda_a=2.0, c_g=0.2)
+        rp = brownian_lift(13, n=64, scale=0.3)
+        coarse = solver.solve_mild(model, np.ones(4), rpm.coarsen(rp, 2))
+        with pytest.raises(ValueError, match="share the grid step"):
+            solver.controlled_norm(model, coarse, rp)
+        with pytest.raises(ValueError, match="share the grid step"):
+            solver.composition_norm(model, solver.solve_mild(model, np.ones(4), rp),
+                                    rpm.coarsen(rp, 2))
 
     def test_monotone_under_interval_inclusion(self):
         model = SpectralModel(6, lambda_a=2.0, c_g=0.2)
@@ -506,14 +537,19 @@ class TestControlledNorm:
         assert all(ratio(seed) <= c_cal for seed in range(100, 130))
 
     def test_norms_on_coarsened_solver_grid(self):
-        # a trajectory thinned to every fourth noise cell still yields finite
-        # seminorms measured against the full-resolution noise
+        # a trajectory stepped every fourth noise cell yields finite seminorms,
+        # measured against the coarsened noise it was solved on
         model = SpectralModel(6, lambda_a=2.0, c_g=0.2)
         rp = brownian_lift(14, n=128, scale=0.3)
         fine = solver.solve_mild(model, np.ones(6), rp)
-        coarse = solver.solve_mild(model, np.ones(6), rp, cells_per_step=4)
+        coarse_rp = rpm.coarsen(rp, 4)
+        coarse = solver.solve_mild(model, np.ones(6), coarse_rp)
+        y, yp, _ = ref_solve_mild(model, np.ones(6), rp, cells_per_step=4)
+        assert np.array_equal(coarse.y, y) and np.array_equal(coarse.y_prime, yp)
         nf = solver.controlled_norm(model, fine, rp)
-        nc = solver.controlled_norm(model, coarse, rp)
+        nc = solver.controlled_norm(model, coarse, coarse_rp)
+        want = ref_controlled_norm(model, coarse, rp, (0.0, 1.0), model.alpha)
+        assert nc.total == pytest.approx(want.total, rel=1e-14, abs=0.0)
         assert np.isfinite(nc.total) and nc.total > 0
         assert nc.sup_y <= 2.0 * nf.sup_y + 1e-12  # same dynamics, coarser view
 

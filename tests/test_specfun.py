@@ -102,7 +102,7 @@ class TestCertificate:
         for beta in (0.4, 0.75):
             cert = specfun.certify_ml_bound(beta, 2.0, 50.0)
             zs = np.random.default_rng(31).uniform(2.0, 50.0, 500)
-            assert cert.verify(zs)
+            assert np.all(specfun.ml_derivative_array(beta, zs) <= cert.m_beta * np.exp(2.0 * zs))
 
     def test_asymptotic_log_slope(self):
         slope = (math.log(specfun.mittag_leffler(0.5, 0.5, 100.0))
@@ -114,8 +114,3 @@ class TestCertificate:
             specfun.certify_ml_bound(0.5, 0.5, 10.0)
         with pytest.raises(ValueError):
             specfun.certify_ml_bound(0.5, 5.0, 2.0)
-
-    def test_verify_rejects_points_outside(self):
-        cert = specfun.certify_ml_bound(0.5, 2.0, 10.0)
-        with pytest.raises(ValueError):
-            cert.verify(np.array([1.0]))
