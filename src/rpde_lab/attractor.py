@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .configio import get_typed, load_kv_file
+from .configio import get_finite, get_typed, load_kv_file
 from .errors import ConfigError, NumericsError
 from .greedy import count_in_window, window_counts
 from .gronwall import discrete_gronwall
@@ -221,20 +221,20 @@ class BoundConstants:
 
 
 def constants_from_config(path: str, model: SpectralModel) -> BoundConstants:
-    """Load primitives, rederive and cross-check any derived values on file."""
+    """Load finite primitives, rederive and cross-check any derived values on file."""
     cfg = load_kv_file(path)
     override = get_typed(cfg, "n_tilde", int, 0) or None
     cons = BoundConstants.derive(
         model,
-        gamma=get_typed(cfg, "gamma", float),
-        eta=get_typed(cfg, "eta", float),
-        chi=get_typed(cfg, "chi", float),
-        m_tilde=get_typed(cfg, "m_tilde", float),
-        m_big=get_typed(cfg, "m_big", float),
-        c_i=get_typed(cfg, "c_i", float, 1.0),
-        z_min=get_typed(cfg, "z_min", float, 2.0),
-        z_max=get_typed(cfg, "z_max", float, 50.0),
-        delta_bar=get_typed(cfg, "delta_bar", float, 0.1),
+        gamma=get_finite(cfg, "gamma"),
+        eta=get_finite(cfg, "eta"),
+        chi=get_finite(cfg, "chi"),
+        m_tilde=get_finite(cfg, "m_tilde"),
+        m_big=get_finite(cfg, "m_big"),
+        c_i=get_finite(cfg, "c_i", 1.0),
+        z_min=get_finite(cfg, "z_min", 2.0),
+        z_max=get_finite(cfg, "z_max", 50.0),
+        delta_bar=get_finite(cfg, "delta_bar", 0.1),
         n_tilde_override=override)
     for key in ("sigma_f", "sigma_g", "c_f", "c_g", "lambda_a"):
         if key in cfg:

@@ -291,9 +291,8 @@ def _greedy_task(cfg: ExperimentConfig, seed: int):
 
 def _cmd_greedy(cfg: ExperimentConfig) -> None:
     _lift_cells(cfg, cfg.horizon)
-    out = _ensure_out(cfg)
     rows = _parallel_map(partial(_each_seed, _greedy_task, cfg), cfg.seeds, cfg.jobs)
-    write_csv(os.path.join(out, "greedy.csv"),
+    write_csv(os.path.join(_ensure_out(cfg), "greedy.csv"),
               ["interval", "N", "W", "chi", "eta"], rows)
 
 
@@ -355,11 +354,11 @@ def _solve_task(cfg: ExperimentConfig, seeds) -> list:
 
 def _cmd_solve(cfg: ExperimentConfig) -> None:
     _lift_cells(cfg, cfg.horizon)
-    out = _ensure_out(cfg)
     model = _build_model(cfg)
     m = min(8, model.n_modes)
     header = ["t", "norm_alpha"] + [f"coeff_{i + 1}" for i in range(m)]
     results = _parallel_map(partial(_solve_task, cfg), cfg.seeds, cfg.jobs)
+    out = _ensure_out(cfg)
     for seed, rows in zip(cfg.seeds, results):
         write_csv(os.path.join(out, f"trajectory_seed{seed}.csv"), header, rows)
 
@@ -387,9 +386,9 @@ def _require_unit_horizon(cfg: ExperimentConfig) -> None:
 
 def _cmd_bounds(cfg: ExperimentConfig) -> None:
     _require_unit_horizon(cfg)
-    out = _ensure_out(cfg)
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
+    out = _ensure_out(cfg)
     task = partial(_bounds_task, cfg)
     train = _parallel_map(task, range(cfg.train_seeds), cfg.jobs)
     cons = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for t, r in train],
@@ -414,9 +413,9 @@ def _cmd_bounds(cfg: ExperimentConfig) -> None:
 
 def _cmd_ergodic(cfg: ExperimentConfig) -> None:
     _require_unit_horizon(cfg)
-    out = _ensure_out(cfg)
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
+    out = _ensure_out(cfg)
     samples = [sample_lift(cfg, s, cfg.horizon, 0.0, cons.gamma) for s in cfg.seeds]
     q = cfg.q_moment if cfg.q_moment > 0 else cons.q_moment
     report = att.ergodic_moments(samples, q)
@@ -448,9 +447,8 @@ def _absorb_task(cfg: ExperimentConfig, seeds) -> list:
 
 
 def _cmd_absorb(cfg: ExperimentConfig) -> None:
-    out = _ensure_out(cfg)
     rows = _parallel_map(partial(_absorb_task, cfg), cfg.seeds, cfg.jobs)
-    write_csv(os.path.join(out, "absorb.csv"),
+    write_csv(os.path.join(_ensure_out(cfg), "absorb.csv"),
               ["seed", "radius", "r_value", "p1", "p2", "tail_bound",
                "accepted", "final_norm"], rows)
 
@@ -478,8 +476,8 @@ def _pullback_task(cfg: ExperimentConfig, seed: int):
 
 
 def _cmd_pullback(cfg: ExperimentConfig) -> None:
-    out = _ensure_out(cfg)
     results = _parallel_map(partial(_each_seed, _pullback_task, cfg), cfg.seeds, cfg.jobs)
+    out = _ensure_out(cfg)
     # reported here, in seed order, whichever worker ran the seed
     for _, blow_ups in results:
         for line in blow_ups:

@@ -8,6 +8,7 @@ runs and worker counts.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterable, Mapping
 
@@ -63,6 +64,14 @@ def get_typed(cfg: Mapping[str, str], key: str, kind, default=None):
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}") from exc
+
+
+def get_finite(cfg: Mapping[str, str], key: str, default: float | None = None) -> float:
+    """get_typed of a float setting, which must be finite."""
+    value = get_typed(cfg, key, float, default)
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key} must be finite, got {value!r}")
+    return value
 
 
 def format_value(v: object) -> str:

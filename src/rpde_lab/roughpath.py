@@ -255,17 +255,21 @@ def _prefix_sums(raw: np.ndarray, xx: np.ndarray):
 
 
 def _chen_pairs(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray, rows, cols) -> np.ndarray:
-    """Second level XX[i, j] over the rows i and the columns j of the window.
+    """_chen_at over the rows i and the columns j of the window (slices or index
+    arrays), every pair of them; entries with j <= i are not meaningful."""
+    return _chen_at(raw, xxc, a, (..., rows, None), (..., None, cols))
+
+
+def _chen_at(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray, i, j) -> np.ndarray:
+    """Second level XX[i, j] at the pairs that the indices i and j select.
 
     XX[i, j] = (xxc[j]-xxc[i]) + (a[j]-a[i]) - raw[i]*(raw[j]-raw[i]) with the
-    prefix sums of _prefix_sums; rows and cols are slices or index arrays.
-    Each entry is the same elementwise expression whatever the selection, so
-    it is bitwise the entry of the full block. Entries with j <= i are not
-    meaningful.
+    prefix sums of _prefix_sums; the selections by i and by j broadcast to
+    the shape of the result. Each entry is the same elementwise expression
+    whatever the selection, so it is bitwise the entry of the full block.
     """
-    xi, ai, ri = xxc[..., rows, None], a[..., rows, None], raw[..., rows, None]
-    xj, aj, rj = xxc[..., None, cols], a[..., None, cols], raw[..., None, cols]
-    return (xj - xi) + (aj - ai) - ri * (rj - ri)
+    ri = raw[i]
+    return (xxc[j] - xxc[i]) + (a[j] - a[i]) - ri * (raw[j] - ri)
 
 
 def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndarray:
@@ -284,28 +288,43 @@ def _lag_table(m: int, dt: float, p: float) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=BLOCK)
+def _triangle(b: int):
+    """Rows i and columns j of the pairs 0 <= i < j <= b, packed, read-only."""
+    rows, cols = np.triu_indices(b + 1, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _pair_sups(values, m: int, dt: float, exponents) -> list[float]:
     """Sup over grid pairs 0 <= i < j <= m of value[i, j] / ((j - i) * dt) ** p.
 
-    values(c0, c1) returns one array of nonnegative pair values per exponent,
-    over the rows i = 0, ..., c1 - 1 and the columns j = c0, ..., c1 - 1;
-    entries with j <= i are ignored. The columns are walked BLOCK at a time,
-    so memory is O(m * BLOCK) and no m x m array is built. Each lag weight is
-    evaluated once, by Python's scalar pow, and read through a Toeplitz view
-    that holds inf where j <= i. A correctly rounded division is monotone, so
-    the largest value / weight of a lag is the lag's largest value over its
-    weight: the result equals the lag-by-lag supremum bit for bit.
+    values(i, j) returns one array of nonnegative pair values per exponent at
+    the pairs of two integer index arrays that broadcast together; each pair
+    i < j is passed once, and no other. The columns are walked BLOCK at a
+    time: the pairs among the grid points c0 - 1, ..., c1 - 1 as one packed
+    triangle (_triangle), the rows before them in BLOCK x BLOCK squares (i a
+    column, j a row). A window of up to BLOCK cells is one triangle, and
+    memory is O(BLOCK^2) whatever m. Each lag weight is evaluated once, by
+    Python's scalar pow, and each pair reads it by its lag. A correctly
+    rounded division is monotone, so the largest value / weight of a lag is
+    the lag's largest value over its weight: the result equals the lag-by-lag
+    supremum bit for bit.
     """
-    tables = [_lag_table(m, dt, p) for p in exponents]
-    best = [0.0] * len(tables)
-    c0 = 1
-    with np.errstate(invalid="ignore"):  # inf / inf = nan on an ignored entry; fmax skips it
-        while c0 <= m:
-            c1 = min(c0 + BLOCK, m + 1)
-            for k, vals in enumerate(values(c0, c1)):
-                weight = sliding_window_view(tables[k][m + c0 - c1:m + c1 - 1], c1 - c0)[::-1]
-                best[k] = float(np.fmax.reduce(vals / weight, axis=None, initial=best[k]))
-            c0 = c1
+    weights = [_lag_table(m, dt, p)[m - 1:] for p in exponents]  # [lag] = (lag * dt) ** p
+    best = [0.0] * len(weights)
+
+    def fold(i, j):
+        lag = j - i
+        for k, vals in enumerate(values(i, j)):
+            best[k] = float(np.fmax.reduce(vals / weights[k][lag], axis=None, initial=best[k]))
+
+    for c0 in range(1, m + 1, BLOCK):
+        c1 = min(c0 + BLOCK, m + 1)
+        rows, cols = _triangle(c1 - c0)
+        fold(rows + (c0 - 1), cols + (c0 - 1))
+        for r0 in range(0, c0 - 1, BLOCK):
+            fold(np.arange(r0, r0 + BLOCK)[:, None], np.arange(c0, c1))
     return best
 
 
@@ -317,10 +336,10 @@ def holder_seminorm(rp: GridRoughPath, interval=None) -> HolderReport:
     The interval defaults to the whole grid; an empty one gives zeros.
     """
     raw, xx = _window_arrays(rp, interval)
+    sums = _prefix_sums(raw, xx)
 
-    def values(c0, c1):
-        return (np.abs(raw[c0:c1] - raw[:c1, None]),
-                np.abs(_second_level_block(raw[:c1], xx[:c1 - 1], c0)))
+    def values(i, j):
+        return np.abs(raw[j] - raw[i]), np.abs(_chen_at(raw, *sums, i, j))
 
     sx, sxx = _pair_sups(values, raw.size - 1, rp.dt, (rp.gamma, 2.0 * rp.gamma))
     return HolderReport(sx, sxx, (rp.t0, rp.end_time) if interval is None else interval)
@@ -377,11 +396,11 @@ def rough_metric(a: GridRoughPath, b: GridRoughPath, interval=None) -> float:
     raw_a, xx_a = _window_arrays(a, interval)
     raw_b, xx_b = _window_arrays(b, interval)
     diff1 = (raw_a - raw_a[0]) - (raw_b - raw_b[0])
+    sums_a, sums_b = _prefix_sums(raw_a, xx_a), _prefix_sums(raw_b, xx_b)
 
-    def values(c0, c1):
-        return (np.abs(diff1[c0:c1] - diff1[:c1, None]),
-                np.abs(_second_level_block(raw_a[:c1], xx_a[:c1 - 1], c0)
-                       - _second_level_block(raw_b[:c1], xx_b[:c1 - 1], c0)))
+    def values(i, j):
+        return (np.abs(diff1[j] - diff1[i]),
+                np.abs(_chen_at(raw_a, *sums_a, i, j) - _chen_at(raw_b, *sums_b, i, j)))
 
     best1, best2 = _pair_sups(values, raw_a.size - 1, a.dt, (a.gamma, 2.0 * a.gamma))
     return best1 + best2

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError
-from .roughpath import BLOCK, GridRoughPath, _pair_sups
+from .roughpath import GridRoughPath, _pair_sups
 from .spectral import SpectralModel, SpectralState
 
 
@@ -286,6 +286,7 @@ def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPat
     sup |y|_alpha, sup |y'|_(alpha-gamma), the gamma-Hoelder seminorm of y' in
     alpha-2gamma, and the gamma / 2gamma seminorms of the remainder in
     alpha-gamma / alpha-2gamma. alpha defaults to the model's base space.
+    Each pair i < j is built once (roughpath._pair_sups), its remainder squared once.
     """
     if alpha is None:
         alpha = model.alpha
@@ -307,19 +308,19 @@ def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPat
     sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
     sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
 
-    def values(c0, c1):
-        # (rows, cols, modes) pair blocks of y'_j - y'_i and of the remainder
-        # y_j - y_i - y'_i X[i, j], BLOCK rows at a time to bound the memory
-        out = np.empty((3, c1, c1 - c0))
-        for r0 in range(0, c1, BLOCK):
-            r1 = min(r0 + BLOCK, c1)
-            out[0, r0:r1] = model.frac_norm_rows(yp[None, c0:c1] - yp[r0:r1, None],
-                                                 alpha - 2.0 * gamma)
-            rem = y[None, c0:c1] - y[r0:r1, None]
-            rem -= yp[r0:r1, None] * (xvals[c0:c1] - xvals[r0:r1, None])[:, :, None]
-            out[1, r0:r1] = model.frac_norm_rows(rem, alpha - gamma)
-            out[2, r0:r1] = model.frac_norm_rows(rem, alpha - 2.0 * gamma)
-        return out
+    # frac_norm_rows's weights of the remainder's two spaces
+    w_g, w_2g = (model.mu ** (2.0 * a) for a in (alpha - gamma, alpha - 2.0 * gamma))
+
+    def values(i, j):
+        # the remainder y_j - y_i - y'_i X[i, j], then y'_j - y'_i in its buffer;
+        # np.take gathers rows faster than indexing does
+        rem = np.take(y, j, axis=0) - np.take(y, i, axis=0)
+        ypi = np.take(yp, i, axis=0)
+        rem -= ypi * (xvals[j] - xvals[i])[..., None]
+        rem *= rem
+        norms = np.sqrt(rem @ w_g), np.sqrt(rem @ w_2g)
+        dyp = np.subtract(np.take(yp, j, axis=0), ypi, out=rem)
+        return model.frac_norm_rows(dyp, alpha - 2.0 * gamma), *norms
 
     hol_yp, rem_g, rem_2g = _pair_sups(values, y.shape[0] - 1, path.dt,
                                        (gamma, gamma, 2.0 * gamma))

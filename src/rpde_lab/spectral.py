@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configio import get_typed, load_kv_file
+from .configio import get_finite, get_typed, load_kv_file
 from .errors import ConfigError
 
 _G_KINDS = ("linear", "integral")
@@ -302,16 +302,16 @@ class SpectralModel:
 
 
 def model_from_config(path: str) -> SpectralModel:
-    """Build a model from a key-value file whose keys are SpectralModel's scalar arguments."""
+    """A model from a key-value file of SpectralModel's scalar arguments, floats finite."""
     cfg = load_kv_file(path)
     return SpectralModel(
         n_modes=get_typed(cfg, "n_modes", int),
-        lambda_a=get_typed(cfg, "lambda_a", float),
-        alpha=get_typed(cfg, "alpha", float, 0.0),
-        sigma_f=get_typed(cfg, "sigma_f", float, 0.0),
-        sigma_g=get_typed(cfg, "sigma_g", float, 0.0),
-        c_f=get_typed(cfg, "c_f", float, 0.0),
-        c_g=get_typed(cfg, "c_g", float, 0.0),
+        lambda_a=get_finite(cfg, "lambda_a"),
+        alpha=get_finite(cfg, "alpha", 0.0),
+        sigma_f=get_finite(cfg, "sigma_f", 0.0),
+        sigma_g=get_finite(cfg, "sigma_g", 0.0),
+        c_f=get_finite(cfg, "c_f", 0.0),
+        c_g=get_finite(cfg, "c_g", 0.0),
         g_kind=cfg.get("g_kind", "linear"),
         quad_points=get_typed(cfg, "quad_points", int, 0) or None,
     )

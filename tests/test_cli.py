@@ -139,16 +139,33 @@ class TestExitCodes:
         ("pullback", "t_list = 2,nan", None, "t_list"),
         ("absorb", "jobs = 0", None, "jobs"),
         ("absorb", "jobs = -3", None, "jobs"),
+        # non-finite values in the model and constants files
+        ("absorb", "constants: m_big = inf", None, "m_big"),
+        ("absorb", "model: c_g = inf", None, "c_g"),
+        ("absorb", "model: lambda_a = nan", None, "lambda_a"),
+        ("pullback", "constants: eta = nan", None, "eta"),
+        ("bounds", "model: sigma_f = -inf", None, "sigma_f"),
+        ("solve", "constants: chi = inf", None, "chi"),
     ], ids=["seed_offset", "steps_per_unit", "hurst", "trunc_k", "t_list_parse",
             "t_list_range", "eps_points", "cloud_points", "q_moment", "train_seeds",
             "lift_one_cell", "solve_one_cell", "greedy_one_cell", "bounds_one_cell",
             "ergodic_short_horizon",
             "bounds_short_horizon", "ergodic_off_unit_grid", "bounds_off_unit_grid",
             "calib_margin", "cloud_radius", "negative_seed", "nan_noise_scale",
-            "inf_horizon", "nan_in_t_list", "zero_jobs", "negative_jobs"])
+            "inf_horizon", "nan_in_t_list", "zero_jobs", "negative_jobs", "inf_m_big",
+            "inf_c_g", "nan_lambda_a", "nan_eta", "minus_inf_sigma_f", "inf_chi"])
     def test_bad_value(self, tmp_path, monkeypatch, capsys, command, line, env, key):
         if env is not None:
             monkeypatch.setenv(cli.SEED_ENV, env)
+        kind, sep, setting = line.partition(": ")
+        if sep:
+            # "model: key = value" edits one key of the desk model file, and
+            # "constants: ..." one of the desk constants file
+            pairs = getattr(cli, f"default_{kind}_pairs")()
+            name, value = setting.split(" = ")
+            pairs[name] = value
+            write_kv_file(str(tmp_path / f"{kind}.txt"), pairs)
+            line = f"{kind} = {tmp_path / f'{kind}.txt'}"
         cfg = tmp_path / "bad.txt"
         cfg.write_text(f"command = {command}\n{line}\nout = {tmp_path / 'o'}\n")
         assert run(["--config", str(cfg)]) == 2
