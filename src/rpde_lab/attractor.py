@@ -50,6 +50,12 @@ def _exp_guard(logv: float) -> float:
     return math.inf if logv > _LOG_MAX else math.exp(logv)
 
 
+def _drift_l(c: float, c_f: float, expo: float) -> float:
+    """The drift's Gronwall rate L = 2 (c c_f Gamma(e))^(1/e) for the smoothing
+    constant c and the exponent e; 0 without drift (c_f = 0)."""
+    return 2.0 * (c * c_f * gamma_fn(expo)) ** (1.0 / expo) if c_f > 0 else 0.0
+
+
 def step_cap(m_tilde: float, sigma_f: float, gamma: float) -> float:
     """Largest window length d the one-block solution bound covers."""
     exponent = 1.0 - max(sigma_f, 2.0 * gamma)
@@ -163,12 +169,9 @@ class BoundConstants:
             d_step = d_formula
 
         c_minus = smoothing_constant(self.sigma_f, self.lambda_a, self.mu1)
-        if self.c_f > 0:
-            big_l = 2.0 * (c_minus * self.c_f * gamma_fn(1.0 - self.sigma_f)) ** (1.0 / (1.0 - self.sigma_f))
-        else:
-            big_l = 0.0
-        lam = self.lambda_a - big_l
         beta_g = 1.0 - self.sigma_f
+        big_l = _drift_l(c_minus, self.c_f, beta_g)
+        lam = self.lambda_a - big_l
         m_beta = certify_ml_bound(beta_g, self.z_min, self.z_max).m_beta
         if big_l > 0:
             t0 = 2.0 * self.z_min / big_l
@@ -330,15 +333,11 @@ def eval_p_constants(rp: GridRoughPath, constants: BoundConstants, interval) -> 
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Outcome of an inequality check: sides, slack and verdict."""
+    """Outcome of an inequality check: both sides and the verdict."""
 
     passed: bool
     lhs: float
     rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
 
 
 def _traj_index(traj: ControlledPath, t: float) -> int:
@@ -659,12 +658,7 @@ def check_gap_condition(constants: BoundConstants, ergodic: ErgodicReport,
         raise ValueError(
             f"invalid regularity shift: need 0 < beta < {limit}, got {beta}")
     c_shift = smoothing_constant(constants.sigma_f + beta, constants.lambda_a, constants.mu1)
-    if constants.c_f > 0:
-        expo = 1.0 - constants.sigma_f - beta
-        l_shift = 2.0 * (c_shift * constants.c_f * gamma_fn(expo)) ** (1.0 / expo)
-    else:
-        l_shift = 0.0
-    lhs_b = constants.lambda_a - l_shift
+    lhs_b = constants.lambda_a - _drift_l(c_shift, constants.c_f, 1.0 - constants.sigma_f - beta)
     m_beta_b = certify_ml_bound(1.0 - constants.sigma_f - beta,
                                 constants.z_min, constants.z_max).m_beta
     c_minus_b = smoothing_constant(beta, constants.lambda_a, constants.mu1)
@@ -860,18 +854,6 @@ class PullbackReport:
     rows: tuple
     evolved: dict
     converged: dict
-
-    def write_csv(self, path: str, radii: dict | None = None) -> None:
-        from .configio import write_csv
-        out = []
-        for row in self.rows:
-            radius, accepted = ("", "")
-            if radii and row.seed in radii:
-                radius, accepted = radii[row.seed]
-            out.append((row.seed, row.t, row.diameter,
-                        "" if math.isnan(row.semidistance) else row.semidistance,
-                        radius, accepted))
-        write_csv(path, ["seed", "t", "diameter", "semidistance", "radius", "accepted"], out)
 
 
 def pullback_estimate(model: SpectralModel, constants: BoundConstants,

@@ -476,6 +476,13 @@ def _pullback_task(cfg: ExperimentConfig, seed: int):
 
 
 def _cmd_pullback(cfg: ExperimentConfig) -> None:
+    # the noise grid of _pullback_task, of step 1 / steps_per_unit and ending
+    # at 1, holds -t only for a t of a whole number of steps
+    spu = cfg.steps_per_unit
+    off = [t for t in cfg.t_list if abs(t * spu - round(t * spu)) > 1e-9 * spu]
+    if off:
+        raise ConfigError(f"config key t_list: {', '.join(map(repr, off))} not on the noise "
+                          f"grid of {spu} steps per unit")
     results = _parallel_map(partial(_each_seed, _pullback_task, cfg), cfg.seeds, cfg.jobs)
     out = _ensure_out(cfg)
     # reported here, in seed order, whichever worker ran the seed

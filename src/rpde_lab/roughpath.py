@@ -8,9 +8,9 @@ grid pairs are reconstructed through Chen's relation
 
 which is exact for the per-cell storage (prefix-sum closed form below).
 
-Time shifts act by slicing: the object keeps the originally sampled values
-(`x_raw`) and only the exposed first level is re-zeroed. Every two-point
-quantity is computed from raw differences inside a window slice, so Hoelder
+The first level is stored as the sampled values `x_raw`, which need not
+start at zero: every two-point quantity is a difference of them, computed
+inside a window slice. Windows and time shifts slice the samples, so Hoelder
 seminorms, controls and solver increments of a shifted path are bit-for-bit
 equal to the same quantities of the original path on the shifted window.
 
@@ -45,46 +45,36 @@ class GridRoughPath:
     Attributes:
         t0: start time of the grid.
         dt: grid step, positive.
-        x: first-level values with x[0] == 0 (re-zeroed view of x_raw).
-        xx: second-level values over consecutive cells, len(x) - 1 entries.
+        x_raw: sampled first-level values; X[s, t] = x_raw[t] - x_raw[s].
+        xx: second-level values over consecutive cells, len(x_raw) - 1 entries.
         gamma: Hoelder exponent in (1/3, 1/2].
     """
 
-    __slots__ = ("t0", "dt", "x", "xx", "gamma", "x_raw")
+    __slots__ = ("t0", "dt", "x_raw", "xx", "gamma")
 
-    def __init__(self, t0: float, dt: float, x, xx, gamma: float, x_raw=None):
-        x = np.asarray(x, dtype=float)
+    def __init__(self, t0: float, dt: float, x_raw, xx, gamma: float):
+        x_raw = np.asarray(x_raw, dtype=float)
         xx = np.asarray(xx, dtype=float)
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("x must hold at least two grid values")
-        if xx.shape != (x.size - 1,):
+        if x_raw.ndim != 1 or x_raw.size < 2:
+            raise ValueError("x_raw must hold at least two grid values")
+        if xx.shape != (x_raw.size - 1,):
             raise ValueError(f"xx must have one entry per cell, got {xx.shape}")
         if not 1.0 / 3.0 < gamma <= 0.5:
             raise ValueError(f"gamma must lie in (1/3, 1/2], got {gamma}")
-        if x_raw is None:
-            x_raw = x
-        else:
-            x_raw = np.asarray(x_raw, dtype=float)
-            if x_raw.shape != x.shape:
-                raise ValueError("x_raw must match x in shape")
-        if x[0] != 0.0:
-            raise ValueError("first level must be re-zeroed: x[0] == 0")
         if not (np.all(np.isfinite(x_raw)) and np.all(np.isfinite(xx))):
             raise ValueError("non-finite path values")
         self.t0 = float(t0)
         self.dt = float(dt)
-        self.x = x
+        self.x_raw = x_raw
         self.xx = xx
         self.gamma = float(gamma)
-        self.x_raw = x_raw
-        for arr in (self.x, self.xx, self.x_raw):
-            arr.flags.writeable = False
+        x_raw.flags.writeable = xx.flags.writeable = False
 
     @property
     def n_cells(self) -> int:
-        return self.x.size - 1
+        return self.x_raw.size - 1
 
     @property
     def end_time(self) -> float:
@@ -92,7 +82,7 @@ class GridRoughPath:
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.x.size)
+        return self.t0 + self.dt * np.arange(self.x_raw.size)
 
     def index(self, t: float) -> int:
         """Grid index of time t; raises if t is off the grid or outside it."""
@@ -127,9 +117,8 @@ class GridRoughPath:
         i, j = self.index(s), self.index(t)
         if j - i < 1:
             raise ValueError("window must contain at least one cell")
-        raw = self.x_raw[i:j + 1]
-        return GridRoughPath(self.t0 + i * self.dt, self.dt, raw - raw[0],
-                             self.xx[i:j], self.gamma, x_raw=raw)
+        return GridRoughPath(self.t0 + i * self.dt, self.dt, self.x_raw[i:j + 1],
+                             self.xx[i:j], self.gamma)
 
     def __repr__(self) -> str:
         return (f"GridRoughPath(t0={self.t0}, dt={self.dt}, cells={self.n_cells}, "
@@ -161,22 +150,24 @@ def lift_piecewise_linear(samples, t0: float, dt: float, gamma: float = 0.5) -> 
     x = samples - samples[0]
     d = np.diff(x)
     xx = 0.5 * d * d
-    return GridRoughPath(t0, dt, x, xx, gamma, x_raw=x)
+    return GridRoughPath(t0, dt, x, xx, gamma)
 
 
-def _fgn_autocov(n: int, hurst: float) -> np.ndarray:
-    k = np.arange(n, dtype=float)
+def _fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
+    """Exact fGn sample of n unit-step increments by circulant embedding.
+
+    The circulant's first row is r(0), ..., r(n), r(n - 1), ..., r(1) with r
+    the fGn autocovariance. That embedding is nonnegative definite for every
+    hurst in (0, 1) (Dietrich and Newsam, SIAM J. Sci. Comput. 18, 1997), so
+    an eigenvalue below rounding level is a numerical failure.
+    """
+    k = np.arange(n + 1, dtype=float)
     h2 = 2.0 * hurst
-    return 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2.0 * np.abs(k) ** h2)
-
-
-def _fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray | None:
-    """Exact fGn sample by circulant embedding; None if the embedding fails."""
-    row = _fgn_autocov(n, hurst)
-    circ = np.concatenate([row, [0.0], row[1:][::-1]])
-    lam = np.fft.fft(circ).real
+    row = 0.5 * (np.abs(k + 1) ** h2 + np.abs(k - 1) ** h2 - 2.0 * np.abs(k) ** h2)
+    lam = np.fft.fft(np.concatenate([row, row[-2:0:-1]])).real
     if lam.min() < -1e-8 * lam.max():
-        return None
+        raise NumericsError("circulant embedding of the fGn covariance is not nonnegative",
+                            n_steps=n, hurst=hurst, lambda_min=float(lam.min()))
     lam = np.clip(lam, 0.0, None)
     m = 2 * n
     z0, zn = rng.standard_normal(2)
@@ -186,26 +177,16 @@ def _fgn_davies_harte(n: int, hurst: float, rng: np.random.Generator) -> np.ndar
     z[n] = zn
     z[1:n] = (v[:, 0] + 1j * v[:, 1]) / np.sqrt(2.0)
     z[n + 1:] = np.conj(z[1:n][::-1])
-    fgn = np.fft.ifft(np.sqrt(lam) * z).real[:n] * np.sqrt(m)
-    return fgn
-
-
-def _fgn_cholesky(n: int, hurst: float, rng: np.random.Generator) -> np.ndarray:
-    row = _fgn_autocov(n, hurst)
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    cov = row[idx]
-    cov[np.diag_indices_from(cov)] += 1e-12
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n)
+    return np.fft.ifft(np.sqrt(lam) * z).real[:n] * np.sqrt(m)
 
 
 def sample_fbm(hurst: float, n_steps: int, seed: int, horizon: float = 1.0) -> np.ndarray:
     """Exact-in-law fBm sample: n_steps increments on [0, horizon], X[0] = 0.
 
     Uses i.i.d. Gaussian increments for H = 1/2, the degenerate line t*Z for
-    H = 1, circulant embedding of the fGn covariance otherwise (Cholesky as
-    fallback when the embedding is not nonnegative definite). Deterministic
-    for a fixed (hurst, n_steps, seed, horizon).
+    H = 1, circulant embedding of the fGn covariance otherwise (O(n log n)
+    time and O(n) memory at every hurst). Deterministic for a fixed (hurst,
+    n_steps, seed, horizon).
     """
     if n_steps < 2:
         raise ValueError("n_steps must be at least 2")
@@ -221,13 +202,7 @@ def sample_fbm(hurst: float, n_steps: int, seed: int, horizon: float = 1.0) -> n
     elif hurst == 0.5:
         incr = rng.standard_normal(n_steps) * np.sqrt(dt)
     else:
-        fgn = _fgn_davies_harte(n_steps, hurst, rng)
-        if fgn is None:
-            if n_steps > 4096:
-                raise NumericsError("circulant embedding failed and n_steps too large for Cholesky",
-                                    n_steps=n_steps, hurst=hurst)
-            fgn = _fgn_cholesky(n_steps, hurst, np.random.default_rng(seed))
-        incr = fgn * dt ** hurst
+        incr = _fgn_davies_harte(n_steps, hurst, rng) * dt ** hurst
     out = np.empty(n_steps + 1)
     out[0] = 0.0
     np.cumsum(incr, out=out[1:])
@@ -261,15 +236,20 @@ def _chen_pairs(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray, rows, cols) -> 
 
 
 def _chen_at(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray, i, j) -> np.ndarray:
-    """Second level XX[i, j] at the pairs that the indices i and j select.
+    """Second level XX[i, j] at the pairs that the indices i and j select, by
+    _chen_ends; the selections by i and by j broadcast to the shape of the
+    result."""
+    return _chen_ends(raw[i], raw[j], xxc[i], xxc[j], a[i], a[j])
 
-    XX[i, j] = (xxc[j]-xxc[i]) + (a[j]-a[i]) - raw[i]*(raw[j]-raw[i]) with the
-    prefix sums of _prefix_sums; the selections by i and by j broadcast to
-    the shape of the result. Each entry is the same elementwise expression
-    whatever the selection, so it is bitwise the entry of the full block.
+
+def _chen_ends(ri, rj, ci, cj, ai, aj) -> np.ndarray:
+    """XX[i, j] = (xxc[j]-xxc[i]) + (a[j]-a[i]) - raw[i]*(raw[j]-raw[i]) from
+    raw and the prefix sums xxc, a of _prefix_sums taken at i and at j.
+
+    Each entry is the same elementwise expression however the endpoints were
+    gathered, so it is bitwise the entry of the full block.
     """
-    ri = raw[i]
-    return (xxc[j] - xxc[i]) + (a[j] - a[i]) - ri * (raw[j] - ri)
+    return (cj - ci) + (aj - ai) - ri * (rj - ri)
 
 
 def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndarray:
@@ -280,10 +260,10 @@ def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndar
 
 @functools.lru_cache(maxsize=16)
 def _lag_table(m: int, dt: float, p: float) -> np.ndarray:
-    """table[m - 1 + lag] = (lag * dt) ** p for lag = 1, ..., m, and inf for
-    lag = 1 - m, ..., 0; each weight by Python's scalar pow. Built once per
-    (m, dt, p) and returned read-only."""
-    table = np.array([math.inf] * m + [(lag * dt) ** p for lag in range(1, m + 1)])
+    """table[lag] = (lag * dt) ** p for lag = 1, ..., m, by Python's scalar
+    pow, and nan at lag 0, which no pair has. Built once per (m, dt, p) and
+    returned read-only."""
+    table = np.array([math.nan] + [(lag * dt) ** p for lag in range(1, m + 1)])
     table.flags.writeable = False
     return table
 
@@ -296,36 +276,39 @@ def _triangle(b: int):
     return rows, cols
 
 
-def _pair_sups(values, m: int, dt: float, exponents) -> list[float]:
+def _pair_sups(values, m: int, dt: float, exponents) -> list:
     """Sup over grid pairs 0 <= i < j <= m of value[i, j] / ((j - i) * dt) ** p.
 
     values(i, j) returns one array of nonnegative pair values per exponent at
-    the pairs of two integer index arrays that broadcast together; each pair
-    i < j is passed once, and no other. The columns are walked BLOCK at a
-    time: the pairs among the grid points c0 - 1, ..., c1 - 1 as one packed
-    triangle (_triangle), the rows before them in BLOCK x BLOCK squares (i a
-    column, j a row). A window of up to BLOCK cells is one triangle, and
-    memory is O(BLOCK^2) whatever m. Each lag weight is evaluated once, by
-    Python's scalar pow, and each pair reads it by its lag. A correctly
-    rounded division is monotone, so the largest value / weight of a lag is
-    the lag's largest value over its weight: the result equals the lag-by-lag
-    supremum bit for bit.
+    the pairs of two integer index arrays of equal ndim that broadcast
+    together; each pair i < j is passed once, and no other. The pair axes
+    are the trailing ones; leading axes index a batch of windows, and each
+    sup is then an array over them (a float for a single window). The
+    columns are walked BLOCK at a time: the pairs among the grid points
+    c0 - 1, ..., c1 - 1 as one packed triangle (_triangle), the rows before
+    them in BLOCK x BLOCK squares (i a column, j a row). A window of up to
+    BLOCK cells is one triangle, and memory is O(BLOCK^2) per window whatever
+    m. Each lag weight is evaluated once, by Python's scalar pow, and each
+    pair reads it by its lag. A correctly rounded division is monotone, so
+    the largest value / weight of a lag is the lag's largest value over its
+    weight: the result equals the lag-by-lag supremum bit for bit.
     """
-    weights = [_lag_table(m, dt, p)[m - 1:] for p in exponents]  # [lag] = (lag * dt) ** p
+    weights = [_lag_table(m, dt, p) for p in exponents]
     best = [0.0] * len(weights)
 
     def fold(i, j):
         lag = j - i
+        pair_axes = tuple(range(-lag.ndim, 0))
         for k, vals in enumerate(values(i, j)):
-            best[k] = float(np.fmax.reduce(vals / weights[k][lag], axis=None, initial=best[k]))
+            best[k] = np.fmax(best[k], np.fmax.reduce(vals / weights[k][lag], axis=pair_axes))
 
     for c0 in range(1, m + 1, BLOCK):
         c1 = min(c0 + BLOCK, m + 1)
         rows, cols = _triangle(c1 - c0)
         fold(rows + (c0 - 1), cols + (c0 - 1))
         for r0 in range(0, c0 - 1, BLOCK):
-            fold(np.arange(r0, r0 + BLOCK)[:, None], np.arange(c0, c1))
-    return best
+            fold(np.arange(r0, r0 + BLOCK)[:, None], np.arange(c0, c1)[None])
+    return [b if np.ndim(b) else float(b) for b in best]
 
 
 def holder_seminorm(rp: GridRoughPath, interval=None) -> HolderReport:
@@ -357,27 +340,29 @@ def _window_starts(rp: GridRoughPath, starts, cells: int) -> np.ndarray:
 def window_seminorms(rp: GridRoughPath, starts, cells: int):
     """[X]_gamma and [XX]_2gamma of the windows [t_a, t_(a + cells)], a in starts.
 
-    starts are grid indices, in any order and with repeats. The windows are
-    evaluated CHUNK at a time, each pair value by the formulas of
-    holder_seminorm and over the same scalar-pow lag weights, so every entry
+    starts are grid indices, in any order and with repeats. The windows go
+    through the pair walk of holder_seminorm CHUNK at a time, as the leading
+    axis of one batch, each pair value by the same formulas, so every entry
     equals holder_seminorm over the same window bit for bit. Returns two
     arrays aligned with starts.
     """
     starts = _window_starts(rp, starts, cells)
     raw = sliding_window_view(rp.x_raw, cells + 1)
     xx = sliding_window_view(rp.xx, cells)
-    # weight[i, j - 1] of the pair (i, j): inf where j <= i
-    weights = [sliding_window_view(_lag_table(cells, rp.dt, p), cells)[::-1]
-               for p in (rp.gamma, 2.0 * rp.gamma)]
     sx = np.empty(starts.size)
     sxx = np.empty(starts.size)
     for c in range(0, starts.size, CHUNK):
         chunk = starts[c:c + CHUNK]
         r = raw[chunk]
-        vals = (np.abs(r[:, None, 1:] - r[:, :, None]),
-                np.abs(_second_level_block(r, xx[chunk], 1)))
-        for out, v, weight in zip((sx, sxx), vals, weights):
-            out[c:c + CHUNK] = np.fmax.reduce(v / weight, axis=(1, 2), initial=0.0)
+        ends = (r, *_prefix_sums(r, xx[chunk]))
+
+        def values(i, j):
+            # np.take gathers along the last axis faster than (..., i) does
+            ri, rj, ci, cj, ai, aj = (np.take(v, k, axis=-1) for v in ends for k in (i, j))
+            return np.abs(rj - ri), np.abs(_chen_ends(ri, rj, ci, cj, ai, aj))
+
+        sx[c:c + CHUNK], sxx[c:c + CHUNK] = _pair_sups(values, cells, rp.dt,
+                                                       (rp.gamma, 2.0 * rp.gamma))
     return sx, sxx
 
 
@@ -409,17 +394,15 @@ def rough_metric(a: GridRoughPath, b: GridRoughPath, interval=None) -> float:
 def shift(rp: GridRoughPath, r: float) -> GridRoughPath:
     """Time shift by a grid multiple r >= 0: the sampled realization of theta_r.
 
-    The returned path exposes X re-zeroed at the new origin while keeping the
-    raw values, so seminorms, controls and greedy counts over [s, t] equal the
-    originals over [s+r, t+r] exactly.
+    The returned path keeps the sampled values, so seminorms, controls and
+    greedy counts over [s, t] equal the originals over [s+r, t+r] exactly.
     """
     k = round(r / rp.dt)
     if abs(k * rp.dt - r) > _GRID_RTOL * max(rp.dt, 1.0):
         raise ValueError(f"shift {r} is not an integer multiple of dt={rp.dt}")
     if k < 0 or rp.n_cells - k < 1:
         raise ValueError(f"shifted window exceeds the sampled horizon (shift {r})")
-    raw = rp.x_raw[k:]
-    return GridRoughPath(rp.t0, rp.dt, raw - raw[0], rp.xx[k:], rp.gamma, x_raw=raw)
+    return GridRoughPath(rp.t0, rp.dt, rp.x_raw[k:], rp.xx[k:], rp.gamma)
 
 
 def coarsen(rp: GridRoughPath, factor: int) -> GridRoughPath:
@@ -433,20 +416,21 @@ def coarsen(rp: GridRoughPath, factor: int) -> GridRoughPath:
         raise ValueError(f"factor {factor} must divide the cell count {rp.n_cells}")
     if factor == 1:
         return rp
-    raw = rp.x_raw[::factor]
     n_coarse = rp.n_cells // factor
     xx = np.empty(n_coarse)
     for c in range(n_coarse):
         i = c * factor
         xx[c] = rp.second_level(i, i + factor)
-    return GridRoughPath(rp.t0, rp.dt * factor, raw - raw[0], xx, rp.gamma, x_raw=raw)
+    return GridRoughPath(rp.t0, rp.dt * factor, rp.x_raw[::factor], xx, rp.gamma)
 
 
 def save_csv(rp: GridRoughPath, path: str) -> None:
-    """Serialize as ``t,x,xx_cell`` rows; xx on the cell's left endpoint row."""
+    """Serialize as ``t,x,xx_cell`` rows, x re-zeroed at the path's start;
+    xx on the cell's left endpoint row."""
+    x = rp.x_raw - rp.x_raw[0]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("t,x,xx_cell\n")
         times = rp.times
-        for k in range(rp.x.size):
+        for k in range(x.size):
             xx = repr(float(rp.xx[k])) if k < rp.n_cells else ""
-            fh.write(f"{float(times[k])!r},{float(rp.x[k])!r},{xx}\n")
+            fh.write(f"{float(times[k])!r},{float(x[k])!r},{xx}\n")

@@ -5,6 +5,9 @@ its own definition (a call, an import or an attribute access); a public method
 (properties included) when an attribute access of its name appears outside its
 own definition. A name used only by tests stays only if KEEP gives the paper
 estimate or the perfbench trace it serves.
+
+A method name that two classes define counts as used by an access to either,
+so such a name must be listed in SHARED with the use of each definition.
 """
 
 import ast
@@ -21,6 +24,14 @@ KEEP = {
     "spectral.SpectralModel.apply_f": "traced by perfbench/launch.py",
     "spectral.SpectralModel.apply_g": "traced by perfbench/launch.py",
     "spectral.SpectralModel.apply_dg": "traced by perfbench/launch.py",
+}
+
+SHARED = {
+    "dt": {
+        "gronwall.BoundCurve": "the forcing curve's step, read by singular_gronwall",
+        "solver.ControlledPath": "the trajectory's step, matched to the noise grid by "
+                                 "controlled_norm, rough_convolution and _traj_index",
+    },
 }
 
 
@@ -63,3 +74,12 @@ def test_every_public_function_is_used_or_kept():
 
 def test_keep_names_exist():
     assert set(KEEP) <= {d[0] for d in _scan()[0]}
+
+
+def test_shared_method_names_are_listed():
+    owners = {}
+    for qualname, name, method, _, _ in _scan()[0]:
+        if method:
+            owners.setdefault(name, set()).add(qualname.rsplit(".", 1)[0])
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert shared == {name: set(uses) for name, uses in SHARED.items()}

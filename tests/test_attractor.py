@@ -161,7 +161,7 @@ class TestSolutionBound:
         rp = zero_lift(1.0, 0.0)
         traj = solver.solve_mild(model, np.ones(16) / 4.0, rp)
         chk = att.check_solution_bound(model, traj, rp, cons, (0.0, 1.0))
-        assert chk.passed and chk.margin > 0
+        assert chk.passed and chk.rhs > chk.lhs
 
     def test_calibration_margin_and_monotonicity(self):
         model = desk_model(c_g=5e-4)
@@ -405,8 +405,7 @@ class TestAbsorbingRadius:
         for k in range(k_max + 1):
             # the window, relabeled onto the clock [-(trunc + 1), 1]
             sub = rp.window(-trunc - 1.0 - k, 1.0 - k)
-            window = rpm.GridRoughPath(-(trunc + 1.0), sub.dt, sub.x, sub.xx, sub.gamma,
-                                       x_raw=sub.x_raw)
+            window = rpm.GridRoughPath(-(trunc + 1.0), sub.dt, sub.x_raw, sub.xx, sub.gamma)
             rep = att.absorbing_radius(window, cons, truncation_k=trunc)
             ratios.append(max(math.log(rep.radius), 0.0) / (k + 1))
         assert all(np.isfinite(ratios))
@@ -678,15 +677,3 @@ class TestPullback:
         dist = att.hausdorff_semidistance(model, np.asarray(forward),
                                           np.asarray(shifted_est))
         assert dist <= resolution
-
-    def test_report_csv_schema(self, tmp_path):
-        model = desk_model()
-        cons = desk_constants(model)
-        cloud = np.eye(16)[:2]
-        rep = att.pullback_estimate(model, cons, [(0, scaled_lift(0, 3.0, -2.0))],
-                                    (1.0, 2.0), cloud)
-        out = tmp_path / "pullback.csv"
-        rep.write_csv(str(out), radii={0: (2.5, 1)})
-        lines = out.read_text().splitlines()
-        assert lines[0] == "seed,t,diameter,semidistance,radius,accepted"
-        assert len(lines) == 3

@@ -50,6 +50,16 @@ class TestBasics:
         assert x[0] == 0.0 and np.isnan(xx[-1]) and np.isfinite(xx[:-1]).all()
         assert (out / "manifest.txt").exists()
 
+    def test_lift_at_high_hurst_past_4096_cells(self, tmp_path):
+        # 4160 cells at H = 0.95, where a fallback to a dense covariance
+        # would need 130 MiB
+        cfg = tmp_path / "lift.txt"
+        cfg.write_text("command = lift\nhurst = 0.95\nhorizon = 130.0\nseeds = 1\n")
+        out = tmp_path / "lift"
+        assert run(["--config", str(cfg), "--out", str(out)]) == 0
+        x = np.genfromtxt(str(out / "path_seed1.csv"), delimiter=",", skip_header=1)[:, 1]
+        assert x.size == 4161 and x[0] == 0.0 and np.isfinite(x).all()
+
     def test_greedy_schema(self, tmp_path):
         out = tmp_path / "greedy"
         assert run(["greedy", "--seeds", "3", "--out", str(out)]) == 0
@@ -137,6 +147,9 @@ class TestExitCodes:
         ("absorb", "noise_scale = nan", None, "noise_scale"),
         ("lift", "horizon = inf", None, "horizon"),
         ("pullback", "t_list = 2,nan", None, "t_list"),
+        # times off the noise grid of 32 steps per unit
+        ("pullback", "t_list = 2.0,2.013", None, "t_list"),
+        ("pullback", "t_list = 20.013", None, "t_list"),
         ("absorb", "jobs = 0", None, "jobs"),
         ("absorb", "jobs = -3", None, "jobs"),
         # non-finite values in the model and constants files
@@ -152,7 +165,8 @@ class TestExitCodes:
             "ergodic_short_horizon",
             "bounds_short_horizon", "ergodic_off_unit_grid", "bounds_off_unit_grid",
             "calib_margin", "cloud_radius", "negative_seed", "nan_noise_scale",
-            "inf_horizon", "nan_in_t_list", "zero_jobs", "negative_jobs", "inf_m_big",
+            "inf_horizon", "nan_in_t_list", "t_list_off_grid", "t_list_max_off_grid",
+            "zero_jobs", "negative_jobs", "inf_m_big",
             "inf_c_g", "nan_lambda_a", "nan_eta", "minus_inf_sigma_f", "inf_chi"])
     def test_bad_value(self, tmp_path, monkeypatch, capsys, command, line, env, key):
         if env is not None:

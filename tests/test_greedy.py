@@ -24,7 +24,7 @@ def brute_costs(rp, eta, lo, hi):
     sums the cells of [i, j] in order with Chen's cross terms."""
     g = rp.gamma - eta
     m = hi - lo
-    x, xx = rp.x.tolist(), rp.xx.tolist()
+    x, xx = rp.x_raw.tolist(), rp.xx.tolist()
     cost = np.zeros((m + 1, m + 1))
     for i in range(m + 1):
         xxij = 0.0
@@ -366,7 +366,7 @@ class TestWindowCounts:
         x = rp.x_raw.copy()
         x[101:] += 5.0
         x[41:] += 5.0
-        rp = rpm.GridRoughPath(rp.t0, rp.dt, x - x[0], rp.xx, GAMMA, x_raw=x)
+        rp = rpm.GridRoughPath(rp.t0, rp.dt, x, rp.xx, GAMMA)
         starts = [0, 90, 20, 95]
         with pytest.raises(NumericsError) as ref:
             per_window_counts(rp, ETA, 0.3, starts, cells)
@@ -540,7 +540,7 @@ def drift_path(cells, slope, flat=0, offset=0.0, seed=0):
     rng = np.random.default_rng(seed)
     steps = np.concatenate([np.zeros(flat), slope / 64 + rng.normal(0.0, 1e-3, cells - flat)])
     x = np.concatenate([[0.0], np.cumsum(steps)])
-    return rpm.GridRoughPath(0.0, 1.0 / 64, x, 0.5 * steps * steps, GAMMA, x_raw=x + offset)
+    return rpm.GridRoughPath(0.0, 1.0 / 64, x + offset, 0.5 * steps * steps, GAMMA)
 
 
 def last_column_candidates(rp, eta, m):
@@ -591,8 +591,7 @@ class TestPrunedDpAdversarial:
             for seed in range(3):
                 assert same_dp(drift_path(400, 2.0, offset=offset, seed=seed), eta, 0, 400)
             noisy = noisy_path(400)
-            rp = rpm.GridRoughPath(noisy.t0, noisy.dt, noisy.x, noisy.xx, GAMMA,
-                                   x_raw=noisy.x + offset)
+            rp = rpm.GridRoughPath(noisy.t0, noisy.dt, noisy.x_raw + offset, noisy.xx, GAMMA)
             assert same_dp(rp, eta, 0, 400)
 
     @pytest.mark.parametrize("kind", ["lift", "noisy"])
@@ -642,8 +641,7 @@ class TestFarBound:
             rp = noisy_path(400)
         else:
             noisy = noisy_path(400)
-            rp = rpm.GridRoughPath(noisy.t0, noisy.dt, noisy.x, noisy.xx, GAMMA,
-                                   x_raw=noisy.x + 1e6)
+            rp = rpm.GridRoughPath(noisy.t0, noisy.dt, noisy.x_raw + 1e6, noisy.xx, GAMMA)
         m = 400
         g = GAMMA - eta
         dp, raw, xxc, a, blocks = far_blocks(rp, eta, m)

@@ -2,9 +2,10 @@
 
 The square-block forms below are verbatim copies of controlled_norm,
 holder_seminorm and rough_metric as they were before the walk visited only
-the pairs i < j (names prefixed with square_): each column block built every
-row of the window, and the pairs j <= i were divided by an infinite weight.
-The kernels must agree with them bit for bit.
+the pairs i < j (names prefixed with square_), with the lag table of that
+time: each column block built every row of the window, and the pairs j <= i
+were divided by an infinite weight. The kernels must agree with them bit for
+bit.
 """
 
 import dataclasses
@@ -24,6 +25,10 @@ from rpde_lab.spectral import SpectralModel
 # ---------------------------------------------------------------------------
 
 
+def square_lag_table(m, dt, p):
+    return np.array([np.inf] * m + [(lag * dt) ** p for lag in range(1, m + 1)])
+
+
 def square_chen_pairs(raw, xxc, a, rows, cols):
     xi, ai, ri = xxc[..., rows, None], a[..., rows, None], raw[..., rows, None]
     xj, aj, rj = xxc[..., None, cols], a[..., None, cols], raw[..., None, cols]
@@ -35,7 +40,7 @@ def square_second_level_block(raw, xx, c0=0):
 
 
 def square_pair_sups(values, m, dt, exponents):
-    tables = [_lag_table(m, dt, p) for p in exponents]
+    tables = [square_lag_table(m, dt, p) for p in exponents]
     best = [0.0] * len(tables)
     c0 = 1
     with np.errstate(invalid="ignore"):  # inf / inf = nan on an ignored entry; fmax skips it
@@ -145,7 +150,7 @@ class TestPairWalk:
             def values(i, j):
                 i, j = np.broadcast_arrays(i, j)
                 seen.append((i.ravel(), j.ravel()))
-                return [table[m - 1 + j - i] for table in tables]
+                return [table[j - i] for table in tables]
 
             assert rpm._pair_sups(values, m, dt, (p, -p)) == [1.0, 1.0]
             rows = np.concatenate([i for i, _ in seen])

@@ -24,12 +24,12 @@ class TestLift:
     def test_constant_path_has_zero_area(self):
         rp = rpm.lift_piecewise_linear(np.full(9, 3.7), 0.0, 0.125, gamma=0.4)
         assert np.all(rp.xx == 0.0)
-        assert np.all(rp.x == 0.0)
+        assert np.all(rp.x_raw == 0.0)
 
     def test_rebased_to_zero(self):
         rp = rpm.lift_piecewise_linear([5.0, 6.0, 4.5], 0.0, 0.5, gamma=0.4)
-        assert rp.x[0] == 0.0
-        assert rp.x[1] == 1.0
+        assert rp.x_raw[0] == 0.0
+        assert rp.x_raw[1] == 1.0
 
     def test_cell_area_matches_riemann_oracle(self):
         # brute-force Riemann approximation of the iterated integral of the
@@ -40,7 +40,7 @@ class TestLift:
         rp = rpm.lift_piecewise_linear(samples, 0.0, dt, gamma=0.4)
         sub = 10_000
         for k in range(7):
-            dx = rp.x[k + 1] - rp.x[k]
+            dx = rp.x_raw[k + 1] - rp.x_raw[k]
             r = (np.arange(sub) + 0.5) / sub
             riemann = np.sum((r * dx) * (dx / sub))
             assert rp.xx[k] == pytest.approx(riemann, rel=1e-6)
@@ -63,11 +63,38 @@ class TestFbm:
     def test_starts_at_zero(self):
         for hurst in (0.4, 0.5, 0.75, 1.0):
             assert rpm.sample_fbm(hurst, 16, seed=3)[0] == 0.0
+        # the circulant embedding is nonnegative definite up to rounding for
+        # every hurst in (1/3, 1) and every length
+        for hurst in (0.34, 0.8, 0.85, 0.9, 0.95, 0.99, 0.99999):
+            for n in (2, 3, 17, 1000, 4097):
+                x = rpm.sample_fbm(hurst, n, seed=n)
+                assert x[0] == 0.0 and np.isfinite(x).all()
 
     def test_terminal_variance_h04(self):
         reps = 10_000
         finals = np.array([rpm.sample_fbm(0.4, 16, seed)[-1] for seed in range(reps)])
         assert abs(np.var(finals) - 1.0) <= 0.05
+
+    def test_law_at_high_hurst(self):
+        # fBm on [0, 1] has Var X(1) = 1, and fGn of step dt the lag-1
+        # covariance dt^(2H) r(1), r(1) = (2^(2H) - 2) / 2 = 0.741 at H = 0.9;
+        # the tolerances are about 3.5 standard errors over 10 000 seeds
+        hurst, n, reps = 0.9, 16, 10_000
+        paths = np.array([rpm.sample_fbm(hurst, n, seed) for seed in range(reps)])
+        assert abs(np.var(paths[:, -1]) - 1.0) <= 0.05
+        incr = np.diff(paths, axis=1) * n ** hurst  # unit-step fGn
+        assert abs(np.mean(incr[:, 1:] * incr[:, :-1]) - (2.0 ** (2 * hurst) - 2.0) / 2.0) <= 0.05
+
+    def test_long_sample_at_high_hurst_in_linear_memory(self):
+        # a dense 8192 x 8192 covariance alone would take 512 MiB
+        tracemalloc.start()
+        try:
+            x = rpm.sample_fbm(0.95, 8192, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(x).all()
+        assert peak < 8 * 2 ** 20
 
     def test_self_similarity_scaling(self):
         a = rpm.sample_fbm(0.4, 32, seed=11, horizon=4.0)
@@ -153,7 +180,7 @@ class TestMetric:
     def test_distance_to_zero_is_rho(self):
         xs = rpm.sample_fbm(0.5, 64, seed=4)
         rp = rpm.lift_piecewise_linear(xs, 0.0, 1 / 64, gamma=0.4)
-        zero = rpm.GridRoughPath(rp.t0, rp.dt, np.zeros_like(rp.x), np.zeros_like(rp.xx), rp.gamma)
+        zero = rpm.GridRoughPath(rp.t0, rp.dt, np.zeros_like(rp.x_raw), np.zeros_like(rp.xx), rp.gamma)
         rho = rpm.rough_metric(rp, zero)
         expected = rpm.holder_seminorm(rp).rho
         assert rho == pytest.approx(expected, rel=1e-12)
@@ -271,7 +298,7 @@ class TestPairSupKernel:
         table = rpm._lag_table(8, 1 / 32, 0.4)
         assert rpm._lag_table(8, 1 / 32, 0.4) is table
         assert not table.flags.writeable
-        assert table[8:].tolist() == [(lag / 32) ** 0.4 for lag in range(1, 9)]
+        assert table[1:].tolist() == [(lag / 32) ** 0.4 for lag in range(1, 9)]
 
     def test_long_window_in_linear_memory(self):
         # 4096 cells: one dense n x n float matrix takes 128 MiB, and the
@@ -329,7 +356,7 @@ class TestShift:
     def test_zero_shift_is_identity(self):
         rp = lift_linear(16)
         sh = rpm.shift(rp, 0.0)
-        assert np.array_equal(sh.x, rp.x) and np.array_equal(sh.xx, rp.xx)
+        assert np.array_equal(sh.x_raw, rp.x_raw) and np.array_equal(sh.xx, rp.xx)
 
     def test_double_shift_composes(self):
         xs = rpm.sample_fbm(0.5, 64, seed=6)
@@ -339,10 +366,16 @@ class TestShift:
         assert np.array_equal(once.x_raw, direct.x_raw)
         assert np.array_equal(once.xx, direct.xx)
 
-    def test_shift_rezeroes(self):
+    def test_saved_shift_starts_at_zero(self, tmp_path):
+        # the shifted path keeps the samples; its CSV re-zeroes them
         xs = rpm.sample_fbm(0.5, 32, seed=8)
-        sh = rpm.shift(rpm.lift_piecewise_linear(xs, 0.0, 1 / 32, gamma=0.4), 0.5)
-        assert sh.x[0] == 0.0
+        rp = rpm.lift_piecewise_linear(xs, 0.0, 1 / 32, gamma=0.4)
+        sh = rpm.shift(rp, 0.5)
+        assert sh.x_raw[0] == rp.x_raw[16] != 0.0
+        rpm.save_csv(sh, str(tmp_path / "shifted.csv"))
+        x = np.genfromtxt(str(tmp_path / "shifted.csv"), delimiter=",", skip_header=1)[:, 1]
+        assert x[0] == 0.0
+        assert np.array_equal(x, sh.x_raw - sh.x_raw[0])
 
     def test_shift_beyond_horizon(self):
         rp = lift_linear(16)
@@ -361,7 +394,7 @@ class TestSerialization:
         t, x, xx = np.genfromtxt(str(path), delimiter=",", skip_header=1, unpack=True)
         back = rpm.GridRoughPath(t[0], t[1] - t[0], x, xx[:-1], 0.4)
         assert np.array_equal(t, rp.times)
-        assert np.array_equal(back.x, rp.x)
+        assert np.array_equal(back.x_raw, rp.x_raw)
         assert np.array_equal(back.xx, rp.xx)
         path2 = tmp_path / "again.csv"
         rpm.save_csv(back, str(path2))
