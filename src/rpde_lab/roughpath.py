@@ -354,11 +354,13 @@ def window_seminorms(rp: GridRoughPath, starts, cells: int):
     for c in range(0, starts.size, CHUNK):
         chunk = starts[c:c + CHUNK]
         r = raw[chunk]
-        ends = (r, *_prefix_sums(r, xx[chunk]))
+        xxc, a = _prefix_sums(r, xx[chunk])
 
         def values(i, j):
             # np.take gathers along the last axis faster than (..., i) does
-            ri, rj, ci, cj, ai, aj = (np.take(v, k, axis=-1) for v in ends for k in (i, j))
+            ri, rj = np.take(r, i, axis=-1), np.take(r, j, axis=-1)
+            ci, cj = np.take(xxc, i, axis=-1), np.take(xxc, j, axis=-1)
+            ai, aj = np.take(a, i, axis=-1), np.take(a, j, axis=-1)
             return np.abs(rj - ri), np.abs(_chen_ends(ri, rj, ci, cj, ai, aj))
 
         sx[c:c + CHUNK], sxx[c:c + CHUNK] = _pair_sups(values, cells, rp.dt,
