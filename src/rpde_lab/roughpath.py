@@ -53,8 +53,9 @@ class GridRoughPath:
     __slots__ = ("t0", "dt", "x_raw", "xx", "gamma")
 
     def __init__(self, t0: float, dt: float, x_raw, xx, gamma: float):
-        x_raw = np.asarray(x_raw, dtype=float)
-        xx = np.asarray(xx, dtype=float)
+        # a writeable input may be the caller's own array: freeze a copy of it
+        x_raw, xx = (a.copy() if a.flags.writeable else a
+                     for a in (np.asarray(x_raw, dtype=float), np.asarray(xx, dtype=float)))
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
         if x_raw.ndim != 1 or x_raw.size < 2:

@@ -1,5 +1,6 @@
 """Experiment runner: configs, outputs, exit codes, determinism."""
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import os
@@ -13,8 +14,22 @@ from rpde_lab import cli
 from rpde_lab.configio import load_kv_file, write_kv_file
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+# unscaled rough noise at a large moment order trips the overflow guard
+OVERFLOW = ("command = ergodic\nnoise_scale = 1.0\nhurst = 0.45\n"
+            "q_moment = 240\nseeds = 1,2,3,4\nhorizon = 4.0\n")
+
+
 def run(args):
     return cli.main(args)
+
+
+def python(*args):
+    """A fresh interpreter with the package's source first on its path."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
 
 
 # small configs of the pool commands (seeds, sizes); bounds also gets a model
@@ -103,11 +118,8 @@ class TestExitCodes:
         assert run(["--config", str(cfg)]) == 2
 
     def test_numerics_exit_code(self, tmp_path, capsys):
-        # unscaled rough noise at a large moment order trips the overflow guard
         cfg = tmp_path / "erg.txt"
-        cfg.write_text("command = ergodic\nnoise_scale = 1.0\nhurst = 0.45\n"
-                       "q_moment = 240\nseeds = 1,2,3,4\nhorizon = 4.0\n"
-                       f"out = {tmp_path / 'o'}\n")
+        cfg.write_text(OVERFLOW + f"out = {tmp_path / 'o'}\n")
         assert run(["--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "max_safe_q=" in err and "obs_max=" in err
@@ -279,7 +291,7 @@ class TestDeterminism:
             def map(self, fn, seq):
                 return map(fn, seq)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         assert cli._parallel_map(negate, range(items), jobs) == [-k for k in range(items)]
         assert started == ([] if expect is None else [expect])
@@ -388,13 +400,53 @@ class TestPipelines:
 
     def test_absorb_and_pullback_leave_numpy_ma_unimported(self, tmp_path):
         # np.unique imports numpy.ma lazily, about 13 ms of every process
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); from rpde_lab import cli\n"
-                "for cfg in sys.argv[2:]:\n"
-                "    assert cli.main(['--config', cfg, '--out', cfg + '.out']) == 0\n"
-                "print('numpy.ma' in sys.modules)")
-        cfgs = [str(small_config(tmp_path, command)) for command in ("absorb", "pullback")]
-        proc = subprocess.run([sys.executable, "-c", code, src, *cfgs],
-                              capture_output=True, text=True, timeout=120)
+        assert not imported_after(tmp_path, ("absorb", "pullback"), "numpy.ma")
+
+    def test_jobs_1_leaves_concurrent_futures_unimported(self, tmp_path):
+        # only the worker pool needs it; it pulls in logging, about 8 ms
+        assert not imported_after(tmp_path, ("greedy", "absorb"), "concurrent.futures")
+
+
+def imported_after(tmp_path, commands, module):
+    """Whether a fresh process holds module after running small commands on one worker."""
+    code = ("import sys; from rpde_lab import cli\n"
+            "for cfg in sys.argv[2:]:\n"
+            "    assert cli.main(['--config', cfg, '--jobs', '1', '--out', cfg + '.out']) == 0\n"
+            "print(sys.argv[1] in sys.modules)")
+    cfgs = [str(small_config(tmp_path, command)) for command in commands]
+    proc = python("-c", code, module, *cfgs)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip() == "True"
+
+
+class TestProcess:
+    """What a fresh process does around main: the freeze, exit codes, stderr."""
+
+    def test_main_freezes_the_import_heap(self, tmp_path):
+        code = ("import gc, sys; from rpde_lab import cli\n"
+                "before = gc.get_freeze_count()\n"
+                "assert cli.main(['--config', sys.argv[1], '--out', sys.argv[1] + '.out']) == 0\n"
+                "print(before, gc.get_freeze_count())")
+        proc = python("-c", code, str(small_config(tmp_path, "greedy")))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        before, after = map(int, proc.stdout.split())
+        assert before == 0 and after > 0
+
+    def test_module_run_writes_the_in_process_bytes(self, tmp_path):
+        cfg = str(small_config(tmp_path, "greedy"))
+        proc = python("-m", "rpde_lab.cli", "--config", cfg, "--out", str(tmp_path / "sub"))
+        assert proc.returncode == 0, proc.stderr
+        assert run(["--config", cfg, "--out", str(tmp_path / "in")]) == 0
+        assert ((tmp_path / "sub" / "greedy.csv").read_bytes()
+                == (tmp_path / "in" / "greedy.csv").read_bytes())
+
+    @pytest.mark.parametrize("text,code,prefix", [
+        ("command = lift\nhorizn = 8\n", 2, "config-error: "),
+        (OVERFLOW, 3, "numerics: "),
+    ])
+    def test_module_run_exit_code_and_stderr(self, tmp_path, text, code, prefix):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text + f"out = {tmp_path / 'o'}\n")
+        proc = python("-m", "rpde_lab.cli", "--config", str(cfg))
+        assert proc.returncode == code
+        assert [line for line in proc.stderr.splitlines() if line.startswith(prefix)]

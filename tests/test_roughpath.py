@@ -49,6 +49,15 @@ class TestLift:
         with pytest.raises(ValueError):
             rpm.lift_piecewise_linear([1.0], 0.0, 1.0)
 
+    def test_caller_arrays_stay_writeable(self):
+        x, xx = np.zeros(3), np.zeros(2)
+        rp = rpm.GridRoughPath(0.0, 1.0, x, xx, 0.4)
+        x[0] = xx[1] = 1.0
+        assert rp.x_raw[0] == 0.0 and rp.xx[1] == 0.0
+        assert not (rp.x_raw.flags.writeable or rp.xx.flags.writeable)
+        # read-only inputs, such as the views a window passes, are not copied
+        assert np.shares_memory(rp.window(1.0, 2.0).x_raw, rp.x_raw)
+
 
 class TestFbm:
     def test_brownian_increment_variance(self):
