@@ -144,7 +144,7 @@ def criterion_2() -> CriterionResult:
     for seed in range(100):
         rp = sample_lift(noise, seed, 1.0, 0.0, gamma)
         w_full = greedy.control_w(rp, eta, 0.0, 1.0)
-        n_steps = greedy.count_in_window(rp, eta, chi, 0.0, 1.0)
+        n_steps = greedy.greedy_times(rp, eta, chi, (0.0, 1.0)).count
         count_ok &= n_steps <= w_full * chi ** (-1.0 / (gamma - eta)) + 1.0
         rep = roughpath.holder_seminorm(rp)
         sx, sxx = rep.seminorm_x, rep.seminorm_xx
@@ -275,11 +275,10 @@ def criterion_6() -> CriterionResult:
     train = solve_seeds(_FINE_NOISE, model, cons.gamma, range(100))
     cons = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for t, r in train], cons,
                                margin=0.1)
-    sol_viol = 0
-    apr_viol = 0
-    for traj, rp in solve_seeds(_FINE_NOISE, model, cons.gamma, range(1000, 1100)):
-        sol_viol += not att.check_solution_bound(model, traj, rp, cons, (0.0, 1.0)).passed
-        apr_viol += not att.apriori_bound(model, traj, rp, cons, 3.0).passed
+    valid = solve_seeds(_FINE_NOISE, model, cons.gamma, range(1000, 1100))
+    sols = att.check_solution_bound(model, [(t, r, (0.0, 1.0)) for t, r in valid], cons)
+    sol_viol = sum(not sol.passed for sol in sols)
+    apr_viol = sum(not att.apriori_bound(model, traj, rp, cons, 3.0).passed for traj, rp in valid)
     passed = sol_viol == 0 and apr_viol == 0
     return CriterionResult(6, "bound pipeline calibrate/validate", passed,
                            f"calibrated m_big = {cons.m_big:.6g}; fresh-sample violations: "

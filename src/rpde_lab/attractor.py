@@ -36,9 +36,9 @@ import numpy as np
 
 from .configio import get_finite, get_typed, load_kv_file
 from .errors import ConfigError, NumericsError
-from .greedy import count_in_window, window_counts
+from .greedy import window_counts
 from .gronwall import discrete_gronwall
-from .roughpath import GridRoughPath, holder_seminorm, window_seminorms
+from .roughpath import GridRoughPath, window_seminorms
 from .solver import ControlledPath, _evolve_lockstep, controlled_norm, solve_many
 from .spectral import SpectralModel, smoothing_constant
 from .specfun import certify_ml_bound, gamma_fn, mittag_leffler
@@ -72,6 +72,18 @@ def unit_blocks(m_tilde: float, sigma_f: float, gamma: float) -> int:
 def window_blocks(length: float, d_step: float) -> int:
     """Block count of a window of the given length chopped into steps d_step."""
     return max(1, math.ceil(length / d_step - 1e-12))
+
+
+def _until_error(f, items, errors=ValueError):
+    """f of each item up to the first whose call raises one of errors, and
+    that error or None; raised after the items before it, it keeps its order."""
+    out = []
+    for item in items:
+        try:
+            out.append(f(item))
+        except errors as exc:
+            return out, exc
+    return out, None
 
 
 # ---------------------------------------------------------------------------
@@ -267,24 +279,6 @@ def poly_p(x: float, y: float) -> float:
     return 1.0 + x + y + x * (x * x + y)
 
 
-@dataclass(frozen=True)
-class PConstants:
-    """P-tilde, P1, P2 with their greedy and seminorm ingredients."""
-
-    p_tilde: float
-    p1: float
-    p2: float
-    n_greedy: int
-    semi_x: float
-    semi_xx: float
-    n_tilde: int
-    interval: tuple
-
-    @property
-    def rho(self) -> float:
-        return self.semi_x + self.semi_xx
-
-
 def p_values(n: int, sx: float, sxx: float, n_tilde: int, m_big: float,
              m_tilde: float) -> tuple:
     """(P-tilde, P1, P2) of a window with greedy count n, seminorms sx, sxx
@@ -311,24 +305,50 @@ def p_values(n: int, sx: float, sxx: float, n_tilde: int, m_big: float,
     return p_tilde, p1, p2
 
 
-def eval_p_constants(rp: GridRoughPath, constants: BoundConstants, interval) -> PConstants:
-    """Evaluate the window constants of the solution bound on one interval.
+def _window_constants(constants: BoundConstants, windows) -> list:
+    """(N, [X], [XX]) of each (rough path, (s, t)) window, in window order.
 
-    The interval may not exceed length one; its block count is
-    ceil(length / d_step), and p_values gives the constants.
+    A window has a positive length of at most one. The windows of one grid
+    and cell count form one batch of window_counts and window_seminorms, each
+    distinct (path, start) once. Errors come in window order, as one window
+    at a time raises them.
     """
-    s, t = float(interval[0]), float(interval[1])
-    length = t - s
-    if length <= 0:
-        raise ValueError("interval must have positive length")
-    if length > 1.0 + 1e-9:
-        raise ValueError("solution-bound windows are limited to length one")
-    n = count_in_window(rp, constants.eta, constants.chi, s, t)
-    rep = holder_seminorm(rp, (s, t))
-    sx, sxx = rep.seminorm_x, rep.seminorm_xx
-    n_tilde = window_blocks(length, constants.d_step)
-    p_tilde, p1, p2 = p_values(n, sx, sxx, n_tilde, constants.m_big, constants.m_tilde)
-    return PConstants(p_tilde, p1, p2, n, sx, sxx, n_tilde, (s, t))
+    def place(window):  # (batch key, path, start)
+        rp, (s, t) = window
+        if t - s <= 0:
+            raise ValueError("interval must have positive length")
+        if t - s > 1.0 + 1e-9:
+            raise ValueError("solution-bound windows are limited to length one")
+        i, j = rp.index(s), rp.index(t)
+        return (rp.t0, rp.dt, rp.n_cells, rp.gamma, j - i), rp, i
+
+    where, error = _until_error(place, windows)
+    batches = {}  # batch key -> the batch's paths, numbered
+    for key, rp, _ in where:
+        paths = batches.setdefault(key, {})
+        paths.setdefault(rp, len(paths))
+    values = {}
+    try:
+        for key, paths in batches.items():
+            pairs = list(dict.fromkeys((paths[rp], i) for k, rp, i in where if k == key))
+            counts = window_counts(list(paths), constants.eta, constants.chi, pairs, key[-1])
+            sx, sxx = window_seminorms(list(paths), pairs, key[-1])
+            values[key] = dict(zip(pairs, zip(counts, sx.tolist(), sxx.tolist())))
+    except NumericsError:
+        # batches do not know each other's order: rescan window by window
+        for key, rp, i in where:
+            window_counts([rp], constants.eta, constants.chi, [(0, i)], key[-1])
+        raise
+    if error is not None:
+        raise error
+    return [values[key][batches[key][rp], i] for key, rp, i in where]
+
+
+def _window_p(constants: BoundConstants, windows) -> list:
+    """(N, [X], [XX], P1, P2) of each window of the list, at constants.m_big."""
+    return [(n, sx, sxx, *p_values(n, sx, sxx, window_blocks(t - s, constants.d_step),
+                                   constants.m_big, constants.m_tilde)[1:])
+            for (n, sx, sxx), (_, (s, t)) in zip(_window_constants(constants, windows), windows)]
 
 
 @dataclass(frozen=True)
@@ -347,14 +367,32 @@ def _traj_index(traj: ControlledPath, t: float) -> int:
     return k
 
 
-def check_solution_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
-                         constants: BoundConstants, interval) -> BoundCheck:
-    """Verify |y,y'|_{D,[s,t]} <= |y_s|_alpha P1 + P2 on one window."""
-    lhs = controlled_norm(model, traj, rp, interval).total
-    pc = eval_p_constants(rp, constants, interval)
-    ynorm = model.frac_norm(traj.y[_traj_index(traj, interval[0])], model.alpha)
-    rhs = ynorm * pc.p1 + pc.p2
-    return BoundCheck(lhs <= rhs, lhs, rhs)
+def _solution_cases(model: SpectralModel, cases, constants: BoundConstants) -> list:
+    """(lhs = |y,y'|_D, |y_s|_alpha, N, [X], [XX], n_tilde) of each
+    (trajectory, rough path, interval) case. Errors come in case order: a
+    case's controlled-norm error after the window errors of those before it.
+    """
+    cases = list(cases)
+    lhs, error = _until_error(lambda case: controlled_norm(model, *case).total, cases)
+    solved = cases[:len(lhs)]
+    consts = _window_constants(constants, [(rp, interval) for _, rp, interval in solved])
+    ynorms = [model.frac_norm(traj.y[_traj_index(traj, interval[0])], model.alpha)
+              for traj, _, interval in solved]
+    if error is not None:
+        raise error
+    return [(v, ynorm, *c, window_blocks(interval[1] - interval[0], constants.d_step))
+            for v, ynorm, c, (_, _, interval) in zip(lhs, ynorms, consts, solved)]
+
+
+def check_solution_bound(model: SpectralModel, cases, constants: BoundConstants) -> list:
+    """Verify |y,y'|_{D,[s,t]} <= |y_s|_alpha P1 + P2 on each (trajectory,
+    rough path, interval) case; one BoundCheck per case."""
+    checks = []
+    for lhs, ynorm, n, sx, sxx, n_tilde in _solution_cases(model, cases, constants):
+        _, p1, p2 = p_values(n, sx, sxx, n_tilde, constants.m_big, constants.m_tilde)
+        rhs = ynorm * p1 + p2
+        checks.append(BoundCheck(lhs <= rhs, lhs, rhs))
+    return checks
 
 
 def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
@@ -366,17 +404,12 @@ def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
     for which every training window satisfies rhs >= (1 + margin) * lhs,
     with derived constants refreshed.
     """
-    data = []
-    for traj, rp, interval in cases:
-        lhs = controlled_norm(model, traj, rp, interval).total
-        pc = eval_p_constants(rp, constants, interval)
-        ynorm = model.frac_norm(traj.y[_traj_index(traj, interval[0])], model.alpha)
-        data.append((lhs, pc.n_greedy, pc.semi_x, pc.semi_xx, ynorm, pc.n_tilde))
+    data = _solution_cases(model, cases, constants)
 
     # d_step and m_tilde do not depend on m_big; an overflowing window has
     # rhs = inf (or nan when ynorm = 0) and never counts as a miss
     def ok(m_big: float) -> bool:
-        for lhs, n, sx, sxx, ynorm, n_tilde in data:
+        for lhs, ynorm, n, sx, sxx, n_tilde in data:
             _, p1, p2 = p_values(n, sx, sxx, n_tilde, m_big, constants.m_tilde)
             if ynorm * p1 + p2 < (1.0 + margin) * lhs:
                 return False
@@ -402,14 +435,6 @@ def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
 # a-priori estimate and its discrete chain form
 # ---------------------------------------------------------------------------
 
-def window_p3(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
-              interval) -> float:
-    """P3 = rho^2 (1 + |y,y'|_D) on one unit window."""
-    rho = holder_seminorm(rp, interval).rho
-    total = controlled_norm(model, traj, rp, interval).total
-    return rho ** 2 * (1.0 + total)
-
-
 def apriori_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
                   constants: BoundConstants, t: float) -> BoundCheck:
     """Check the weighted a-priori estimate at time t in [n, n+1]."""
@@ -425,9 +450,13 @@ def apriori_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
     lam = constants.lam
     lhs = model.frac_norm(traj.y[k], model.alpha) * math.exp(lam * t)
     y0 = model.frac_norm(traj.y[0], model.alpha)
+    # P3 = rho^2 (1 + |y,y'|_D) on each unit window [l, l + 1]
+    starts = [rp.index(float(l)) for l in range(n + 2)]
+    sx, sxx = window_seminorms([rp], [(0, a) for a in starts[:-1]], starts[1] - starts[0])
     acc = 0.0
-    for l in range(n + 1):
-        acc += math.exp(lam * l) * window_p3(model, traj, rp, (float(l), float(l + 1)))
+    for l, rho in enumerate(a + b for a, b in zip(sx.tolist(), sxx.tolist())):
+        total = controlled_norm(model, traj, rp, (float(l), float(l + 1))).total
+        acc += math.exp(lam * l) * (rho ** 2 * (1.0 + total))
     rhs = constants.c_tilde_a * y0 + constants.c_tilde_2 * math.exp(lam * t) \
         + constants.c_tilde_1 * constants.c_g * acc
     return BoundCheck(lhs <= rhs, lhs, rhs)
@@ -455,9 +484,9 @@ def discrete_chain_bound(model: SpectralModel, traj: ControlledPath, rp: GridRou
         raise ValueError("chain estimate is anchored at start time 0")
     h1s = np.empty(n)
     h2s = np.empty(n)
-    for j in range(n):
-        pc = eval_p_constants(rp, constants, (float(j), float(j + 1)))
-        h1s[j], h2s[j] = h_values(constants, pc.rho, pc.p1, pc.p2)
+    windows = [(rp, (float(j), float(j + 1))) for j in range(n)]
+    for j, (_, sx, sxx, p1, p2) in enumerate(_window_p(constants, windows)):
+        h1s[j], h2s[j] = h_values(constants, sx + sxx, p1, p2)
     lam = constants.lam
     y0 = model.frac_norm(traj.y[0], model.alpha)
     cs = np.exp(lam * np.arange(n)) * h2s
@@ -492,16 +521,15 @@ class ErgodicReport:
         return self.k_q + self.kk_q
 
 
-def _unit_windows(rp: GridRoughPath):
+def _unit_windows(rp: GridRoughPath) -> tuple:
+    """Cells per unit and number of the unit windows [t0 + j, t0 + j + 1]."""
     per_unit = int(round(1.0 / rp.dt))
     if abs(per_unit * rp.dt - 1.0) > 1e-9 or per_unit < 1:
         raise ValueError("ergodic windows need a grid commensurate with unit length")
     n_units = rp.n_cells // per_unit
     if n_units < 1:
         raise ValueError("realization shorter than one unit window")
-    for j in range(n_units):
-        s = rp.t0 + j * 1.0
-        yield (s, s + 1.0)
+    return per_unit, n_units
 
 
 def ergodic_moments(samples, q: float) -> ErgodicReport:
@@ -519,19 +547,15 @@ def ergodic_moments(samples, q: float) -> ErgodicReport:
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    per_sample_x: list[list[float]] = []
-    per_sample_xx: list[list[float]] = []
+    per_sample_x: list[np.ndarray] = []
+    per_sample_xx: list[np.ndarray] = []
     obs_max = 0.0
     for rp in samples:
-        sx_list, sxx_list = [], []
-        for window in _unit_windows(rp):
-            rep = holder_seminorm(rp, window)
-            sx, sxx = rep.seminorm_x, rep.seminorm_xx
-            obs_max = max(obs_max, sx, sxx)
-            sx_list.append(sx)
-            sxx_list.append(sxx)
-        per_sample_x.append(sx_list)
-        per_sample_xx.append(sxx_list)
+        per_unit, n_units = _unit_windows(rp)
+        sx, sxx = window_seminorms([rp], [(0, j * per_unit) for j in range(n_units)], per_unit)
+        obs_max = max(obs_max, float(sx.max()), float(sxx.max()))
+        per_sample_x.append(sx)
+        per_sample_xx.append(sxx)
     if not per_sample_x:
         raise ValueError("need at least one sample")
     if obs_max > 1.0:
@@ -541,8 +565,8 @@ def ergodic_moments(samples, q: float) -> ErgodicReport:
                 f"moment order q = {q} is overflow-unsafe for observed seminorms "
                 f"up to {obs_max:.3g}; largest safe q is {q_safe}",
                 max_safe_q=q_safe, obs_max=obs_max)
-    pow_x = [np.asarray(v) ** q for v in per_sample_x]
-    pow_xx = [np.asarray(v) ** q for v in per_sample_xx]
+    pow_x = [v ** q for v in per_sample_x]
+    pow_xx = [v ** q for v in per_sample_xx]
     all_x = np.concatenate(pow_x)
     all_xx = np.concatenate(pow_xx)
     tot = all_x + all_xx
@@ -569,9 +593,9 @@ class IntegrabilityReport:
     """Empirical moment norms of the window constants over an ensemble.
 
     lp_p1 / lp_p2 map each probed order p to the ensemble estimate of
-    E[P_i^p]^(1/p); stability maps p to the ratio of the estimate on the
-    first half of the ensemble to the full-ensemble value. Heavy tails show
-    up as diverging high-order norms and unstable ratios.
+    E[P_i^p]^(1/p); stability maps p to the ratio of the P1 + P2 estimate on
+    the even-numbered windows to that on the odd-numbered ones. Heavy tails
+    show up as diverging high-order norms and unstable ratios.
     """
 
     orders: tuple
@@ -593,13 +617,12 @@ def integrability_check(samples, constants: BoundConstants,
     drives the ratio away from one as the ensemble grows.
     """
     core_vals, p1_vals, p2_vals = [], [], []
-    for rp in samples:
-        for window in _unit_windows(rp):
-            pc = eval_p_constants(rp, constants, window)
-            core_vals.append(pc.n_greedy * (1.0 + pc.semi_x)
-                             * _exp_guard(pc.n_greedy * constants.m_tilde))
-            p1_vals.append(pc.p1)
-            p2_vals.append(pc.p2)
+    windows = [(rp, (rp.t0 + j, rp.t0 + j + 1.0)) for rp in samples
+               for j in range(_unit_windows(rp)[1])]
+    for n, sx, _, p1, p2 in _window_p(constants, windows):
+        core_vals.append(n * (1.0 + sx) * _exp_guard(n * constants.m_tilde))
+        p1_vals.append(p1)
+        p2_vals.append(p2)
     if len(p1_vals) < 2:
         raise ValueError("need at least two unit windows")
     core = np.asarray(core_vals)
@@ -718,40 +741,24 @@ def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
     lam = constants.lam
     eps_values = _grid_eps_values(rp, eps_points)
     # per eps, the unit windows [-k - eps, 1 - k - eps] for k = 0, ..., truncation_k
-    # as (start index, block count); k = 0 gives P1 and P2, k >= 1 the series
-    windows = []
-    for eps in eps_values:
-        bounds = [(float(-k - eps), float(1.0 - k - eps)) for k in range(truncation_k + 1)]
-        windows.append([(rp.index(s), window_blocks(t - s, constants.d_step)) for s, t in bounds])
-    cells = rp.index(1.0) - rp.index(0.0)
-    # greedy counts and seminorms of the distinct windows, one batched pass each,
-    # in evaluation order, so a greedy error names the window the loop would reach
-    # first; the constants of each window are then scalar math, as in eval_p_constants
-    starts = list(dict.fromkeys(i for row in windows for i, _ in row))
-    slot = {i: a for a, i in enumerate(starts)}
-    counts = window_counts(rp, constants.eta, constants.chi, starts, cells)
-    sx, sxx = (v.tolist() for v in window_seminorms(rp, starts, cells))
-
-    def window_p(i, n_tilde):
-        """(rho, P1, P2) of the unit window from grid index i."""
-        a = slot[i]
-        _, p1, p2 = p_values(counts[a], sx[a], sxx[a], n_tilde, constants.m_big,
-                             constants.m_tilde)
-        return sx[a] + sxx[a], p1, p2
-
+    # in evaluation order; k = 0 gives P1 and P2, k >= 1 the series
+    consts = iter(_window_p(constants, [
+        (rp, (float(-k - eps), float(1.0 - k - eps)))
+        for eps in eps_values for k in range(truncation_k + 1)]))
     best_sum = -math.inf
     best_terms = None
     best_eps = 0.0
     p1_val = 0.0
     p2_val = 0.0
-    for eps, row in zip(eps_values, windows):
-        _, p1, p2 = window_p(*row[0])
+    for eps in eps_values:
+        _, _, _, p1, p2 = next(consts)
         p1_val = max(p1_val, p1)
         p2_val = max(p2_val, p2)
         terms = np.empty(truncation_k)
         prod = 1.0
         for k in range(1, truncation_k + 1):
-            h1, h2 = h_values(constants, *window_p(*row[k]))
+            _, sx, sxx, p1, p2 = next(consts)
+            h1, h2 = h_values(constants, sx + sxx, p1, p2)
             terms[k - 1] = math.exp(-lam * k) * h2 * prod
             prod *= 1.0 + h1
         total = float(np.sum(terms))
@@ -796,15 +803,9 @@ def absorbing_radii(model: SpectralModel, cases, constants: BoundConstants,
     its solve error, and both before anything of a later case.
     """
     cases = list(cases)
-    reports = []
-    error = None
-    for rp, _ in cases:
-        try:
-            reports.append(absorbing_radius(rp, constants, truncation_k, eps_points,
-                                            ergodic=ergodic))
-        except (NumericsError, ValueError) as exc:
-            error = exc  # raised once the cases before it are solved
-            break
+    reports, error = _until_error(
+        lambda case: absorbing_radius(case[0], constants, truncation_k, eps_points, ergodic),
+        cases, (NumericsError, ValueError))
     solved = cases[:len(reports)]
     trajs = solve_many(model, [y0 for _, y0 in solved],
                        [rp.window(float(-truncation_k), 0.0) for rp, _ in solved])

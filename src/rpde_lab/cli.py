@@ -398,8 +398,9 @@ def _cmd_bounds(cfg: ExperimentConfig) -> None:
     del train  # frees the training block before the validation block is solved
     rows = []
     t_check = _apriori_time(cfg.horizon)
-    for seed, (traj, rp) in zip(cfg.seeds, _parallel_map(task, cfg.seeds, cfg.jobs)):
-        sol = att.check_solution_bound(model, traj, rp, cons, (0.0, 1.0))
+    valid = _parallel_map(task, cfg.seeds, cfg.jobs)
+    sols = att.check_solution_bound(model, [(t, r, (0.0, 1.0)) for t, r in valid], cons)
+    for seed, (traj, rp), sol in zip(cfg.seeds, valid, sols):
         apr = att.apriori_bound(model, traj, rp, cons, t_check)
         rows.append((seed, "0..1", "solution", sol.lhs, sol.rhs, int(sol.passed)))
         rows.append((seed, f"0..{t_check!r}", "apriori", apr.lhs, apr.rhs, int(apr.passed)))

@@ -28,21 +28,20 @@ superadditive, so it is monotone in the right endpoint: each greedy step scans
 from its start and stops at the first column past the threshold, so the whole
 scan costs O(n * (longest step + BLOCK)) time.
 
-window_counts counts many equal-length windows at once. The windows jump from
-step end to step end in lockstep, and each grid point a jump reaches gets one
-DP row, built CHUNK rows at a time and shared by every window stepping from
-it. Single windows stay on the scan above.
+window_counts counts equal-length windows of a stack of paths at once, for
+every caller of a window count, the windows stepping in lockstep.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
-from .roughpath import BLOCK, CHUNK, GridRoughPath, _chen_pairs, _prefix_sums, _window_starts
+from .roughpath import BLOCK, CHUNK, GridRoughPath, _chen_pairs, _join_windows, _prefix_sums
 
 # margins of the far-block bound of _control_dp: relative, over the rounding of
 # the costs and pows it bounds (a few ulps times the exponent 1 / (gamma - eta),
@@ -67,9 +66,11 @@ class GreedyPartition:
         self.interval = (float(interval[0]), float(interval[1]))
 
 
-def _check_eta(rp: GridRoughPath, eta: float) -> None:
+def _check_args(rp: GridRoughPath, eta: float, chi: float = 1.0) -> None:
     if not 0.0 <= eta < rp.gamma:
         raise ValueError(f"eta must lie in [0, gamma={rp.gamma}), got {eta}")
+    if chi <= 0:
+        raise ValueError("chi must be positive")
 
 
 def _lag_weights(lo: int, hi: int, dt: float, eta: float, g: float):
@@ -210,7 +211,7 @@ def _control_dp(rp: GridRoughPath, eta: float, i0: int, i1: int, limit: float):
 
 def control_w(rp: GridRoughPath, eta: float, s: float, t: float) -> float:
     """Exact grid-restricted control W over [s, t] by dynamic programming."""
-    _check_eta(rp, eta)
+    _check_args(rp, eta)
     i, j = rp.index(s), rp.index(t)
     if j < i:
         raise ValueError("need s <= t")
@@ -248,9 +249,7 @@ def greedy_times(rp: GridRoughPath, eta: float, chi: float, interval=None) -> Gr
     """Greedy partition of the interval: each step is the largest grid time
     whose accumulated control raised to gamma - eta stays <= chi (boundary
     accepted on equality)."""
-    _check_eta(rp, eta)
-    if chi <= 0:
-        raise ValueError("chi must be positive")
+    _check_args(rp, eta, chi)
     i0, i1 = rp.interval_slice(interval)
     if i1 == i0:
         raise ValueError("greedy interval must contain at least one cell")
@@ -261,70 +260,57 @@ def greedy_times(rp: GridRoughPath, eta: float, chi: float, interval=None) -> Gr
     return GreedyPartition(taus, chi, eta, interval)
 
 
-def count_in_window(rp: GridRoughPath, eta: float, chi: float, s: float, t: float) -> int:
-    """Number of greedy steps N on [s, t]."""
-    return greedy_times(rp, eta, chi, (s, t)).count
-
-
 def _step_lengths(raw: np.ndarray, xx: np.ndarray, dt: float, eta: float, g: float,
-                  chi: float):
+                  chi: float, room):
     """Greedy step length from the first point of each window of the batch
     raw, xx, and the one-cell dp of that step.
 
-    Row b is _control_dp's dp from raw[b, 0], by the same costs and the same
-    maxima of single sums. The step ends before the first column k with
-    dp[k] ** g > chi, or at the last column. dp is nondecreasing and pow is
-    monotone, so the violations form a suffix of the row, found by bisection
-    with the scan's scalar pow.
+    Row b is _control_dp's dp from raw[b, 0] (the same costs and maxima of
+    single sums), built BLOCK columns at a time. dp is nondecreasing: the step
+    ends before the first column k with dp[k] ** g > chi (the scan's scalar
+    pow), found by bisection, and the tiles stop once every row b has passed
+    chi or column room[b] (a step of room[b] or more cells may be longer).
     """
     cells = raw.shape[-1] - 1
-    weight = _toeplitz(_lag_weights(1 - cells, cells + 1, dt, eta, g), 0, 1, cells + 1)
-    cost = _pair_costs(raw, *_prefix_sums(raw, xx), slice(None), 1, cells + 1, weight,
-                       1.0 / g, 0.5 / g)
+    sums = _prefix_sums(raw, xx)
     dp = np.zeros(raw.shape)
-    best = cost[:, 0]
-    for k in range(1, cells + 1):
-        dp[:, k] = best[:, k - 1]
-        np.maximum(best[:, k:], dp[:, k, None] + cost[:, k, k:], out=best[:, k:])
-    lengths = []
-    for row in dp.tolist():
-        lo, hi = 1, cells + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if row[mid] ** g <= chi:
-                lo = mid + 1
-            else:
-                hi = mid
-        lengths.append(lo - 1)
+    k0 = 1
+    while True:
+        k1 = min(k0 + BLOCK, cells + 1)
+        weight = _toeplitz(_lag_weights(k0 - k1 + 1, k1, dt, eta, g), 0, k0, k1)
+        cost = _pair_costs(raw, *sums, slice(0, k1), k0, k1, weight, 1.0 / g, 0.5 / g)
+        cost[:, :k0] += dp[:, :k0, None]
+        best = cost[:, :k0].max(axis=1)
+        for c in range(k1 - k0):
+            dp[:, k0 + c] = best[:, c]
+            np.maximum(best[:, c + 1:], dp[:, k0 + c, None] + cost[:, k0 + c, c + 1:],
+                       out=best[:, c + 1:])
+        k0 = k1
+        if k0 > cells or all(v ** g > chi or k1 > r for v, r in zip(dp[:, k1 - 1].tolist(), room)):
+            break
+    lengths = [bisect.bisect_right(row, chi, 1, k0, key=lambda v: v ** g) - 1
+               for row in dp.tolist()]
     return lengths, dp[:, 1]
 
 
-def window_counts(rp: GridRoughPath, eta: float, chi: float, starts, cells: int) -> list[int]:
-    """Greedy counts N of the windows [t_a, t_(a + cells)], a in starts.
+def window_counts(rps, eta: float, chi: float, windows, cells: int) -> list[int]:
+    """Greedy counts N of the windows of roughpath.window_seminorms.
 
-    starts are grid indices, in any order and with repeats. The windows walk
-    their greedy steps in lockstep; each round computes the DP rows of the
-    grid points first reached in it, CHUNK rows at a time, so a point's row
-    is built once however many windows step from it. Each count equals
-    count_in_window over the same window, and a window whose scan meets a
-    cell above chi raises the scan's NumericsError; the first such window in
-    the order of starts is the one reported.
+    The windows walk their greedy steps in lockstep; each round builds the DP
+    rows of the (path, grid point) pairs first reached in it, CHUNK rows at a
+    time, once however many windows step from them. Each count equals
+    greedy_times(...).count over the same window, and a window whose scan
+    meets a cell above chi raises the scan's NumericsError, the first such
+    window in the order of windows.
     """
-    _check_eta(rp, eta)
-    if chi <= 0:
-        raise ValueError("chi must be positive")
-    starts = _window_starts(rp, starts, cells)
+    rp, raw, xx, starts = _join_windows(rps, windows, cells)
+    _check_args(rp, eta, chi)
     g = rp.gamma - eta
-    # the path extended by zero increments, so a row of cells columns fits
-    # from every grid point; a window caps its steps at its own end, which
-    # the extension never reaches
-    raw = sliding_window_view(np.concatenate([rp.x_raw, np.full(cells, rp.x_raw[-1])]),
-                              cells + 1)
-    xx = sliding_window_view(np.concatenate([rp.xx, np.zeros(cells)]), cells)
-    # end of the step from each grid point (-1: row not built) and its dp[1];
-    # the last entry belongs to the path's end, where steps only finish
-    step_end = np.full(rp.n_cells + 1, -1)
-    first = np.empty(rp.n_cells + 1)
+    # a window caps its steps at its own end, so a row stops at its path's end
+    span = rp.n_cells + cells + 1
+    # end of the step from each joined point (-1: row not built) and its dp[1]
+    step_end = np.full(raw.shape[0], -1)
+    first = np.empty(raw.shape[0])
     cur, end = starts.copy(), starts + cells
     counts = np.zeros(starts.size, dtype=int)
     walking = np.ones(starts.size, dtype=bool)
@@ -335,7 +321,8 @@ def window_counts(rp: GridRoughPath, eta: float, chi: float, starts, cells: int)
         new = new[np.diff(new, prepend=-1) != 0]
         for c in range(0, new.size, CHUNK):
             rows = new[c:c + CHUNK]
-            lengths, first[rows] = _step_lengths(raw[rows], xx[rows], rp.dt, eta, g, chi)
+            lengths, first[rows] = _step_lengths(raw[rows], xx[rows], rp.dt, eta, g, chi,
+                                                 (rp.n_cells - rows % span).tolist())
             step_end[rows] = rows + lengths
         nxt = step_end[cur]
         stuck |= walking & (nxt == cur)
@@ -345,7 +332,7 @@ def window_counts(rp: GridRoughPath, eta: float, chi: float, starts, cells: int)
         walking &= cur < end
     if stuck.any():
         bad = int(cur[np.argmax(stuck)])
-        raise _coarse_cell(rp, chi, bad, float(first[bad] ** g))
+        raise _coarse_cell(rp, chi, bad % span, float(first[bad] ** g))
     return counts.tolist()
 
 
@@ -355,7 +342,7 @@ def control_w_all_pairs(rp: GridRoughPath, eta: float, interval=None) -> np.ndar
     Row i is one DP scan from grid point i, so entry (i, j) equals control_w
     over the same pair exactly.
     """
-    _check_eta(rp, eta)
+    _check_args(rp, eta)
     i0, i1 = rp.interval_slice(interval)
     m = i1 - i0
     out = np.zeros((m + 1, m + 1))

@@ -34,7 +34,7 @@ _GRID_RTOL = 1e-9
 # absorbing-radius pipeline fit in one block
 BLOCK = 64
 # windows evaluated together by the batched window kernels (window_seminorms
-# here, greedy.window_counts): memory is O(CHUNK * cells^2) whatever the
+# here, greedy.window_counts): memory is O(CHUNK * cells * BLOCK) whatever the
 # number of windows
 CHUNK = 16
 
@@ -312,6 +312,20 @@ def _pair_sups(values, m: int, dt: float, exponents) -> list:
     return [b if np.ndim(b) else float(b) for b in best]
 
 
+def _seminorm_values(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray):
+    """values(i, j) of _pair_sups for [X] and [XX] of the windows raw (grid
+    points on the last axis, a batch on leading axes) with prefix sums xxc, a."""
+
+    def values(i, j):
+        # np.take gathers along the last axis faster than (..., i) does
+        ri, rj = np.take(raw, i, axis=-1), np.take(raw, j, axis=-1)
+        ci, cj = np.take(xxc, i, axis=-1), np.take(xxc, j, axis=-1)
+        ai, aj = np.take(a, i, axis=-1), np.take(a, j, axis=-1)
+        return np.abs(rj - ri), np.abs(_chen_ends(ri, rj, ci, cj, ai, aj))
+
+    return values
+
+
 def holder_seminorm(rp: GridRoughPath, interval=None) -> HolderReport:
     """Grid-restricted Hoelder seminorms of both levels over the interval.
 
@@ -320,50 +334,46 @@ def holder_seminorm(rp: GridRoughPath, interval=None) -> HolderReport:
     The interval defaults to the whole grid; an empty one gives zeros.
     """
     raw, xx = _window_arrays(rp, interval)
-    sums = _prefix_sums(raw, xx)
-
-    def values(i, j):
-        return np.abs(raw[j] - raw[i]), np.abs(_chen_at(raw, *sums, i, j))
-
-    sx, sxx = _pair_sups(values, raw.size - 1, rp.dt, (rp.gamma, 2.0 * rp.gamma))
+    sx, sxx = _pair_sups(_seminorm_values(raw, *_prefix_sums(raw, xx)), raw.size - 1, rp.dt,
+                         (rp.gamma, 2.0 * rp.gamma))
     return HolderReport(sx, sxx, (rp.t0, rp.end_time) if interval is None else interval)
 
 
-def _window_starts(rp: GridRoughPath, starts, cells: int) -> np.ndarray:
-    """Grid indices a of the windows [t_a, t_(a + cells)] as an array; each
-    window must hold at least one cell and lie on the grid."""
-    starts = np.asarray(starts, dtype=np.intp)
+def _join_windows(rps, windows, cells: int):
+    """The first path, the sliding rows (cells + 1 points of x_raw, cells of
+    xx) from every point of the paths laid end to end, and each window's row.
+    Each path is followed by cells zero increments, so a row from any of its
+    grid points stays inside its own stretch."""
+    rp = rps[0]
+    if any((p.t0, p.dt, p.n_cells, p.gamma) != (rp.t0, rp.dt, rp.n_cells, rp.gamma) for p in rps):
+        raise ValueError("the rough paths must share one grid (t0, dt, cell count and gamma)")
+    paths, starts = np.asarray(windows, dtype=np.intp).reshape(-1, 2).T
     if cells < 1 or starts.size and (starts.min() < 0 or starts.max() + cells > rp.n_cells):
         raise ValueError(f"windows of {cells} cells must start in [0, {rp.n_cells - cells}]")
-    return starts
+    if paths.size and (paths.min() < 0 or paths.max() >= len(rps)):
+        raise ValueError(f"window path numbers must lie in [0, {len(rps) - 1}]")
+    x_raw = np.concatenate([np.append(p.x_raw, np.full(cells, p.x_raw[-1])) for p in rps])
+    xx = np.concatenate([np.append(p.xx, np.zeros(cells + 1)) for p in rps])
+    return (rp, sliding_window_view(x_raw, cells + 1), sliding_window_view(xx, cells),
+            paths * (rp.n_cells + cells + 1) + starts)
 
 
-def window_seminorms(rp: GridRoughPath, starts, cells: int):
-    """[X]_gamma and [XX]_2gamma of the windows [t_a, t_(a + cells)], a in starts.
+def window_seminorms(rps, windows, cells: int):
+    """[X]_gamma and [XX]_2gamma of windows of a stack of rough paths.
 
-    starts are grid indices, in any order and with repeats. The windows go
-    through the pair walk of holder_seminorm CHUNK at a time, as the leading
-    axis of one batch, each pair value by the same formulas, so every entry
+    rps is a sequence of rough paths with the same t0, dt, cell count and
+    gamma, and windows holds (path number, a) pairs, one per window
+    [t_a, t_(a + cells)] of that path, in any order and with repeats. They go
+    through the pair walk of holder_seminorm CHUNK at a time, so every entry
     equals holder_seminorm over the same window bit for bit. Returns two
-    arrays aligned with starts.
+    arrays aligned with windows.
     """
-    starts = _window_starts(rp, starts, cells)
-    raw = sliding_window_view(rp.x_raw, cells + 1)
-    xx = sliding_window_view(rp.xx, cells)
+    rp, raw, xx, starts = _join_windows(rps, windows, cells)
     sx = np.empty(starts.size)
     sxx = np.empty(starts.size)
     for c in range(0, starts.size, CHUNK):
-        chunk = starts[c:c + CHUNK]
-        r = raw[chunk]
-        xxc, a = _prefix_sums(r, xx[chunk])
-
-        def values(i, j):
-            # np.take gathers along the last axis faster than (..., i) does
-            ri, rj = np.take(r, i, axis=-1), np.take(r, j, axis=-1)
-            ci, cj = np.take(xxc, i, axis=-1), np.take(xxc, j, axis=-1)
-            ai, aj = np.take(a, i, axis=-1), np.take(a, j, axis=-1)
-            return np.abs(rj - ri), np.abs(_chen_ends(ri, rj, ci, cj, ai, aj))
-
+        r = raw[starts[c:c + CHUNK]]
+        values = _seminorm_values(r, *_prefix_sums(r, xx[starts[c:c + CHUNK]]))
         sx[c:c + CHUNK], sxx[c:c + CHUNK] = _pair_sups(values, cells, rp.dt,
                                                        (rp.gamma, 2.0 * rp.gamma))
     return sx, sxx

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rpde_lab import attractor as att
+from rpde_lab import greedy
 from rpde_lab import roughpath as rpm
 from rpde_lab import solver
 from rpde_lab.configio import write_kv_file
@@ -36,6 +37,29 @@ def scaled_lift(seed, span, t0, gamma=0.49, steps=32, scale=0.01, hurst=0.5):
 def zero_lift(span, t0, gamma=0.49, steps=32):
     n = int(round(span * steps))
     return rpm.lift_piecewise_linear(np.zeros(n + 1), t0, span / n, gamma=gamma)
+
+
+def ref_window(rp, cons, interval):
+    """The reference window constants (N, [X], [XX], P-tilde, P1, P2) of one
+    interval, by one greedy scan and one seminorm pass."""
+    s, t = interval
+    if t - s <= 0:
+        raise ValueError("interval must have positive length")
+    if t - s > 1.0 + 1e-9:
+        raise ValueError("solution-bound windows are limited to length one")
+    n = greedy.greedy_times(rp, cons.eta, cons.chi, (s, t)).count
+    rep = rpm.holder_seminorm(rp, (s, t))
+    sx, sxx = rep.seminorm_x, rep.seminorm_xx
+    return (n, sx, sxx) + att.p_values(n, sx, sxx, att.window_blocks(t - s, cons.d_step),
+                                       cons.m_big, cons.m_tilde)
+
+
+def window_p(rp, cons, interval):
+    """(N, [X], [XX], P-tilde, P1, P2) of one interval by the batched pass."""
+    n, sx, sxx = att._window_constants(cons, [(rp, interval)])[0]
+    s, t = interval
+    return (n, sx, sxx) + att.p_values(n, sx, sxx, att.window_blocks(t - s, cons.d_step),
+                                       cons.m_big, cons.m_tilde)
 
 
 class TestConstants:
@@ -109,27 +133,29 @@ class TestPConstants:
     def test_zero_noise_exact_values(self):
         cons = desk_constants(desk_model())
         rp = zero_lift(1.0, 0.0)
-        pc = att.eval_p_constants(rp, cons, (0.0, 1.0))
+        n, sx, _, got_tilde, p1, p2 = window_p(rp, cons, (0.0, 1.0))
         p_tilde = cons.m_big * math.exp(cons.m_tilde)
-        assert pc.n_greedy == 1 and pc.semi_x == 0.0
-        assert pc.p_tilde == pytest.approx(p_tilde, rel=1e-12)
-        assert pc.p1 == pytest.approx(2 * p_tilde ** 3, rel=1e-12)
+        assert n == 1 and sx == 0.0
+        assert got_tilde == pytest.approx(p_tilde, rel=1e-12)
+        assert p1 == pytest.approx(2 * p_tilde ** 3, rel=1e-12)
         ratio = (math.exp(2 * cons.m_tilde) - 1) / (math.exp(cons.m_tilde) - 1)
         geom = (p_tilde ** 2 - 1) / (p_tilde - 1)
-        assert pc.p2 == pytest.approx(cons.m_big * 2 * ratio * geom, rel=1e-12)
+        assert p2 == pytest.approx(cons.m_big * 2 * ratio * geom, rel=1e-12)
 
     def test_unit_geometric_factor_limit(self):
         model = desk_model()
         cons = desk_constants(model, m_big=math.exp(-DESK["m_tilde"]))
-        pc = att.eval_p_constants(zero_lift(1.0, 0.0), cons, (0.0, 1.0))
-        assert pc.p_tilde == pytest.approx(1.0)
-        assert math.isfinite(pc.p2) and pc.p2 > 0
+        _, _, _, p_tilde, _, p2 = window_p(zero_lift(1.0, 0.0), cons, (0.0, 1.0))
+        assert p_tilde == pytest.approx(1.0)
+        assert math.isfinite(p2) and p2 > 0
 
     def test_interval_cap(self):
         cons = desk_constants(desk_model())
         rp = zero_lift(3.0, 0.0)
-        with pytest.raises(ValueError):
-            att.eval_p_constants(rp, cons, (0.0, 2.0))
+        with pytest.raises(ValueError, match="limited to length one"):
+            att._window_constants(cons, [(rp, (0.0, 1.0)), (rp, (0.0, 2.0))])
+        with pytest.raises(ValueError, match="positive length"):
+            att._window_constants(cons, [(rp, (1.0, 1.0))])
 
     def test_p1_monotone_in_chi(self):
         model = desk_model()
@@ -137,7 +163,7 @@ class TestPConstants:
         p1s = []
         for chi in (0.010, 0.014, 0.019):
             cons = desk_constants(model, chi=chi)
-            p1s.append(att.eval_p_constants(rp, cons, (0.0, 1.0)).p1)
+            p1s.append(window_p(rp, cons, (0.0, 1.0))[4])
         assert all(b <= a for a, b in zip(p1s, p1s[1:]))
 
     def test_p_values_overflow_branches(self):
@@ -154,13 +180,98 @@ class TestPConstants:
         assert att.window_blocks(0.1, 0.5) == 1
 
 
+def mixed_windows(cells):
+    """Windows of cells cells of three paths on one grid of 256 steps per
+    unit: unordered, repeated, and the same start on several paths."""
+    rps = [scaled_lift(seed, 1.25, 0.0, steps=256, scale=scale)
+           for seed, scale in ((0, 0.02), (1, 0.04), (2, 0.06))]
+    last = 320 - cells
+    starts = [last, 0, last // 2, 0] + list(range(last, -1, -23))
+    return [(rps[k % 3], (a / 256, (a + cells) / 256)) for k, a in enumerate(starts)] \
+        + [(rp, (0.0, cells / 256)) for rp in rps]
+
+
+class TestWindowConstants:
+    """att._window_constants against the per-window reference, bit for bit."""
+
+    @pytest.mark.parametrize("cells", [1, 63, 64, 65, 129])
+    def test_matches_per_window_kernels_bitwise(self, cells):
+        cons = desk_constants(desk_model())
+        windows = mixed_windows(cells)
+        got = att._window_constants(cons, windows)
+        want = [ref_window(rp, cons, interval)[:3] for rp, interval in windows]
+        assert np.array_equal(np.array(got), np.array(want))
+        assert cells < 63 or len({n for n, _, _ in want}) > 2
+
+    def test_mixed_grids_in_calibration(self):
+        # trajectories on grids of 32 and 64 steps per unit, interleaved
+        model = desk_model(c_g=5e-4)
+        cons = desk_constants(model, m_big=1.0)
+        cases = []
+        for seed in range(6):
+            rp = scaled_lift(seed, 2.0, 0.0, steps=(32, 64)[seed % 2], scale=0.02)
+            interval = (0.0, 1.0) if seed < 4 else (0.5, 1.5)
+            cases.append((solver.solve_mild(model, np.ones(16) / (4.0 + seed), rp), rp, interval))
+        got = att._solution_cases(model, cases, cons)
+        want = []
+        for traj, rp, interval in cases:
+            n, sx, sxx = ref_window(rp, cons, interval)[:3]
+            ynorm = model.frac_norm(traj.y[att._traj_index(traj, interval[0])], model.alpha)
+            want.append((solver.controlled_norm(model, traj, rp, interval).total, ynorm,
+                         n, sx, sxx, att.window_blocks(1.0, cons.d_step)))
+        assert np.array_equal(np.array(got), np.array(want))
+        cal = att.calibrate_m_big(model, cases, cons)
+        assert att.calibrate_m_big(model, cases[::-1], cons).m_big == cal.m_big
+
+    def test_first_window_error_in_window_order(self):
+        # the windows of the 32-step grid form the first batch, but the
+        # window of the 64-step jumpy path comes first among the failing ones
+        cons = desk_constants(desk_model(c_g=5e-4))
+        good, bad32, bad64 = scaled_lift(4, 8.0, -7.0), jumpy_lift(), jumpy_lift(steps=64)
+        windows = [(good, (-1.0, 0.0)), (bad32, (-6.0, -5.0)), (good, (-3.0, -2.0))]
+
+        def first_error(windows, reference):
+            with pytest.raises((NumericsError, ValueError)) as err:
+                if reference:
+                    for rp, interval in windows:
+                        ref_window(rp, cons, interval)
+                else:
+                    att._window_constants(cons, windows)
+            return type(err.value), str(err.value), getattr(err.value, "context", None)
+
+        for order in (windows[:2] + [(bad64, (-3.0, -2.0))] + windows[1:],
+                      [windows[0], (bad64, (-3.0, -2.0))] + windows[1:],
+                      windows[:1] + [(good, (-1.0, 0.5))] + windows[1:],
+                      windows + [(good, (-1.0, 0.5))], windows + [(good, (0.0, 0.0))]):
+            assert first_error(order, False) == first_error(order, True)
+        assert first_error([windows[0], (bad64, (-3.0, -2.0))] + windows[1:],
+                           False)[2]["cell_left"] == -2.5
+
+    def test_calibration_error_in_case_order(self):
+        # a controlled-norm error (window beyond the solved span) against a
+        # later case's greedy error, and the other way round
+        model = desk_model(c_g=5e-4)
+        cons = desk_constants(model, m_big=1.0)
+        rp = scaled_lift(0, 2.0, 0.0)
+        x = rp.x_raw.copy()
+        x[rp.index(0.5) + 1:] += 1.0
+        jumpy = rpm.GridRoughPath(rp.t0, rp.dt, x, rp.xx, rp.gamma)
+        y0 = np.ones(16) / 4.0
+        short = (solver.solve_mild(model, y0, rp.window(0.0, 1.0)), rp, (0.0, 1.5))
+        greedy_case = (solver.solve_mild(model, y0, jumpy), jumpy, (0.0, 1.0))
+        with pytest.raises(ValueError, match="outside the solved span"):
+            att.calibrate_m_big(model, [short, greedy_case], cons)
+        with pytest.raises(NumericsError, match="grid too coarse"):
+            att.calibrate_m_big(model, [greedy_case, short], cons)
+
+
 class TestSolutionBound:
     def test_zero_noise_check(self):
         model = desk_model()
         cons = desk_constants(model, m_big=1.0)
         rp = zero_lift(1.0, 0.0)
         traj = solver.solve_mild(model, np.ones(16) / 4.0, rp)
-        chk = att.check_solution_bound(model, traj, rp, cons, (0.0, 1.0))
+        chk, = att.check_solution_bound(model, [(traj, rp, (0.0, 1.0))], cons)
         assert chk.passed and chk.rhs > chk.lhs
 
     def test_calibration_margin_and_monotonicity(self):
@@ -172,15 +283,12 @@ class TestSolutionBound:
             traj = solver.solve_mild(model, np.ones(16) / 4.0, rp)
             cases.append((traj, rp, (0.0, 1.0)))
         cal = att.calibrate_m_big(model, cases, cons, margin=0.1)
-        for traj, rp, interval in cases:
-            chk = att.check_solution_bound(model, traj, rp, cal, interval)
+        for chk in att.check_solution_bound(model, cases, cal):
             assert chk.passed
             assert chk.rhs >= 1.1 * chk.lhs * (1 - 1e-6)
         smaller = cal.with_m_big(cal.m_big * 0.5)
-        fails = sum(not att.check_solution_bound(model, t, r, smaller, i).passed
-                    or att.check_solution_bound(model, t, r, smaller, i).rhs
-                    < 1.1 * att.check_solution_bound(model, t, r, smaller, i).lhs
-                    for t, r, i in cases)
+        fails = sum(not chk.passed or chk.rhs < 1.1 * chk.lhs
+                    for chk in att.check_solution_bound(model, cases, smaller))
         assert fails > 0  # the calibrated value is tight up to bisection slack
 
     @pytest.mark.parametrize("y_scale", [0.0, 0.25])
@@ -196,7 +304,7 @@ class TestSolutionBound:
             cases.append((solver.solve_mild(model, np.ones(16) / 4.0, rp), rp, (0.0, 1.0)))
         steep = rpm.lift_piecewise_linear(8.0 * np.arange(1025) / 1024, 0.0, 1.0 / 1024, gamma=0.49)
         traj = solver.solve_mild(model, np.full(16, y_scale), steep)
-        assert att.eval_p_constants(steep, cons, (0.0, 1.0)).n_greedy == 1024
+        assert att._window_constants(cons, [(steep, (0.0, 1.0))])[0][0] == 1024
         cal = att.calibrate_m_big(model, cases + [(traj, steep, (0.0, 1.0))], cons, margin=0.1)
         assert cal.m_big == att.calibrate_m_big(model, cases, cons, margin=0.1).m_big
 
@@ -218,6 +326,24 @@ class TestApriori:
         traj = solver.solve_mild(model, np.ones(16) / 4.0, rp)
         for t in (0.5, 1.25, 2.5):
             assert att.apriori_bound(model, traj, rp, cons, t).passed
+
+    def test_matches_per_window_reference(self):
+        # P3 = rho^2 (1 + |y,y'|_D) of each unit window by holder_seminorm
+        model = SpectralModel(16, lambda_a=4.0, alpha=0.0, sigma_f=0.25, c_f=0.5, c_g=5e-4)
+        cons = att.BoundConstants.derive(model, m_big=1.0, **DESK)
+        rp = scaled_lift(3, 5.0, -1.0, steps=64, scale=0.05)
+        traj = solver.solve_mild(model, np.ones(16) / 4.0, rp.window(0.0, 4.0))
+        chk = att.apriori_bound(model, traj, rp, cons, 2.5)
+        acc = 0.0
+        for l in range(3):
+            window = (float(l), float(l + 1))
+            p3 = rpm.holder_seminorm(rp, window).rho ** 2 \
+                * (1.0 + solver.controlled_norm(model, traj, rp, window).total)
+            acc += math.exp(cons.lam * l) * p3
+        y0 = model.frac_norm(traj.y[0], model.alpha)
+        rhs = cons.c_tilde_a * y0 + cons.c_tilde_2 * math.exp(cons.lam * 2.5) \
+            + cons.c_tilde_1 * cons.c_g * acc
+        assert chk.rhs == rhs
 
     def test_requires_positive_rate(self):
         model = SpectralModel(8, lambda_a=0.05, alpha=0.0, sigma_f=0.25, c_f=2.0)
@@ -246,9 +372,9 @@ class TestApriori:
 
 
 def eval_h(rp, cons, interval):
-    """The window constants (H1, H2) of one interval."""
-    pc = att.eval_p_constants(rp, cons, interval)
-    return att.h_values(cons, pc.rho, pc.p1, pc.p2)
+    """The window constants (H1, H2) of one interval, from the reference."""
+    _, sx, sxx, _, p1, p2 = ref_window(rp, cons, interval)
+    return att.h_values(cons, sx + sxx, p1, p2)
 
 
 class TestH:
@@ -289,6 +415,20 @@ class TestErgodic:
             att.ergodic_moments(samples, q=240.0)
         assert err.value.context["max_safe_q"] < 240
 
+    def test_matches_per_window_seminorms(self):
+        samples = [scaled_lift(seed, span, 0.5, scale=1.0) for seed, span in ((0, 3.0), (1, 2.0))]
+        report = att.ergodic_moments(samples, q=3.0)
+        reps = [[rpm.holder_seminorm(rp, (0.5 + j, 1.5 + j))
+                 for j in range(round(rp.n_cells * rp.dt))] for rp in samples]
+        pow_x = [np.asarray([r.seminorm_x for r in row]) ** 3.0 for row in reps]
+        pow_xx = [np.asarray([r.seminorm_xx for r in row]) ** 3.0 for row in reps]
+        assert report.n_samples == 5
+        assert (report.k_q, report.kk_q) == (float(np.mean(np.concatenate(pow_x))),
+                                             float(np.mean(np.concatenate(pow_xx))))
+        assert (report.k_q_time, report.kk_q_time) == (float(np.mean(pow_x[0])),
+                                                       float(np.mean(pow_xx[0])))
+        assert report.k_q_ens == float(np.mean([v[0] for v in pow_x]))
+
     def test_report_sum_field(self):
         samples = [scaled_lift(0, 2.0, 0.0, scale=1.0)]
         report = att.ergodic_moments(samples, q=2.0)
@@ -310,6 +450,27 @@ class TestIntegrability:
             vals = [series[p] for p in report.orders]
             assert all(b >= a * (1 - 1e-12) for a, b in zip(vals, vals[1:]))
         assert all(1 / 3 <= r <= 3.0 for r in report.stability.values())
+
+    def test_matches_per_window_reference(self):
+        # stability is the L^p ratio of P1 + P2 over the even-numbered unit
+        # windows to that over the odd-numbered ones, in ensemble order
+        cons = desk_constants(desk_model(c_g=5e-4))
+        samples = [scaled_lift(seed, 3.0, 0.0, scale=0.02) for seed in range(3)]
+        report = att.integrability_check(samples, cons, orders=(1.0, 3.0))
+        ref = np.array([ref_window(rp, cons, (float(j), j + 1.0)) for rp in samples
+                        for j in range(3)])
+        n, sx, p1, p2 = ref[:, 0], ref[:, 1], ref[:, 4], ref[:, 5]
+        core = n * (1.0 + sx) * np.exp(n * cons.m_tilde)
+        total = p1 + p2
+
+        def lp(vals, p):
+            return float(np.mean(vals ** p) ** (1.0 / p))
+
+        assert report.n_windows == 9
+        for p in report.orders:
+            assert report.stability[p] == lp(total[0::2], p) / lp(total[1::2], p)
+            assert (report.lp_p1[p], report.lp_p2[p]) == (lp(p1, p), lp(p2, p))
+            assert report.lp_core[p] == pytest.approx(lp(core, p), rel=1e-14)
 
     def test_needs_two_windows(self):
         cons = desk_constants(desk_model())
@@ -418,17 +579,17 @@ def ref_absorbing_radius(rp, constants, truncation_k, eps_points):
     lam = constants.lam
     best_sum, best_terms, best_eps, p1_val, p2_val = -math.inf, None, 0.0, 0.0, 0.0
     for eps in att._grid_eps_values(rp, eps_points):
-        pc = att.eval_p_constants(rp, constants, (-eps, 1.0 - eps))
-        p1_val = max(p1_val, pc.p1)
-        p2_val = max(p2_val, pc.p2)
+        _, _, _, _, p1, p2 = ref_window(rp, constants, (-eps, 1.0 - eps))
+        p1_val = max(p1_val, p1)
+        p2_val = max(p2_val, p2)
         terms = np.empty(truncation_k)
         prod = 1.0
         for k in range(1, truncation_k + 1):
-            pc = att.eval_p_constants(rp, constants, (-k - eps, 1.0 - k - eps))
-            rho = pc.rho
-            h1 = constants.c_tilde_1 * constants.c_g * rho * rho * pc.p1
+            _, sx, sxx, _, p1, p2 = ref_window(rp, constants, (-k - eps, 1.0 - k - eps))
+            rho = sx + sxx
+            h1 = constants.c_tilde_1 * constants.c_g * rho * rho * p1
             h2 = max(constants.c_tilde_a * math.exp(constants.lam),
-                     constants.c_tilde_1 * constants.c_g) * (1.0 + rho * rho * (1.0 + pc.p2))
+                     constants.c_tilde_1 * constants.c_g) * (1.0 + rho * rho * (1.0 + p2))
             terms[k - 1] = math.exp(-lam * k) * h2 * prod
             prod *= 1.0 + h1
         total = float(np.sum(terms))
@@ -472,9 +633,9 @@ class TestAbsorbingWindowKernels:
 
 
 
-def jumpy_lift():
+def jumpy_lift(steps=32):
     """A realization with cells above chi: its radius raises a NumericsError."""
-    rp = scaled_lift(4, 8.0, -7.0)
+    rp = scaled_lift(4, 8.0, -7.0, steps=steps)
     x = rp.x_raw.copy()
     for t in (-5.5, -2.5):
         x[rp.index(t) + 1:] += 1.0

@@ -109,7 +109,7 @@ class TestGreedyTimes:
     def test_count_bound(self, seed):
         rp = fbm_lift(seed, n=128)
         chi = 0.5
-        n_steps = greedy.count_in_window(rp, ETA, chi, 0.0, 1.0)
+        n_steps = greedy.greedy_times(rp, ETA, chi, (0.0, 1.0)).count
         w = greedy.control_w(rp, ETA, 0.0, 1.0)
         assert 1 <= n_steps <= w * chi ** (-1.0 / (GAMMA - ETA)) + 1.0
 
@@ -127,7 +127,7 @@ class TestGreedyTimes:
 
     def test_count_monotone_in_chi(self):
         rp = fbm_lift(9, n=128, scale=0.3)
-        counts = [greedy.count_in_window(rp, ETA, chi, 0.0, 1.0)
+        counts = [greedy.greedy_times(rp, ETA, chi, (0.0, 1.0)).count
                   for chi in (0.25, 0.4, 0.6, 0.9)]
         assert counts[0] > 1
         assert all(b <= a for a, b in zip(counts, counts[1:]))
@@ -136,8 +136,8 @@ class TestGreedyTimes:
         rp = fbm_lift(11, n=128, scale=0.3)
         sh = rpm.shift(rp, 0.25)
         assert greedy.control_w(sh, ETA, 0.0, 0.5) == greedy.control_w(rp, ETA, 0.25, 0.75)
-        assert greedy.count_in_window(sh, ETA, 0.3, 0.0, 0.5) == \
-            greedy.count_in_window(rp, ETA, 0.3, 0.25, 0.75)
+        assert greedy.greedy_times(sh, ETA, 0.3, (0.0, 0.5)).count == \
+            greedy.greedy_times(rp, ETA, 0.3, (0.25, 0.75)).count
 
     def test_grid_too_coarse(self):
         x = np.array([0.0, 5.0, 5.5])
@@ -320,8 +320,15 @@ def mixed_starts(last):
 
 
 def per_window_counts(rp, eta, chi, starts, cells):
-    return [greedy.count_in_window(rp, eta, chi, rp.t0 + a * rp.dt, rp.t0 + (a + cells) * rp.dt)
+    """The reference: one greedy scan per window, in the order of starts."""
+    return [greedy.greedy_times(rp, eta, chi, (rp.t0 + a * rp.dt,
+                                               rp.t0 + (a + cells) * rp.dt)).count
             for a in starts]
+
+
+def batched_counts(rp, eta, chi, starts, cells):
+    """window_counts of windows of the one path rp."""
+    return greedy.window_counts([rp], eta, chi, [(0, a) for a in starts], cells)
 
 
 class TestWindowCounts:
@@ -334,7 +341,7 @@ class TestWindowCounts:
             rp = rpm.shift(base, k * base.dt)
             starts = mixed_starts(rp.n_cells - cells)
             for eta, chi in ((ETA, 0.3), (ETA, 0.6), (0.0, 0.3)):
-                counts = greedy.window_counts(rp, eta, chi, starts, cells)
+                counts = batched_counts(rp, eta, chi, starts, cells)
                 assert counts == per_window_counts(rp, eta, chi, starts, cells)
 
     def test_threshold_between_array_and_scalar_pow(self):
@@ -356,7 +363,7 @@ class TestWindowCounts:
                 return str(exc), exc.context
 
         for chi in chis:
-            assert outcome(greedy.window_counts) == outcome(per_window_counts)
+            assert outcome(batched_counts) == outcome(per_window_counts)
 
     def test_first_bad_window_in_caller_order(self):
         # two cells above chi; the windows are listed so that the later
@@ -371,7 +378,7 @@ class TestWindowCounts:
         with pytest.raises(NumericsError) as ref:
             per_window_counts(rp, ETA, 0.3, starts, cells)
         with pytest.raises(NumericsError) as got:
-            greedy.window_counts(rp, ETA, 0.3, starts, cells)
+            batched_counts(rp, ETA, 0.3, starts, cells)
         assert ref.value.context["cell_left"] == rp.t0 + 100 * rp.dt
         assert str(got.value) == str(ref.value)
         assert got.value.context == ref.value.context
@@ -380,7 +387,54 @@ class TestWindowCounts:
         rp = noisy_path(32)
         for starts, cells in (([0], 0), ([-1], 32), ([rp.n_cells - 31], 32)):
             with pytest.raises(ValueError):
-                greedy.window_counts(rp, ETA, 0.3, starts, cells)
+                batched_counts(rp, ETA, 0.3, starts, cells)
+
+    @pytest.mark.parametrize("cells", [1, 63, 64, 65, 129, 200])
+    def test_stack_of_paths(self, cells):
+        # paths of one grid with different step lengths (chi = 0.6 gives
+        # steps of tens to over a hundred cells, across the column tiles);
+        # windows as (path, start) pairs, unordered and repeated, the same
+        # start on several paths, and more than one chunk of distinct rows
+        rps = [noisy_path(cells, extra=60)]
+        for k, sd in enumerate((0.02, 0.035, 0.05)):
+            rng = np.random.default_rng([cells, k])
+            x = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, sd, rps[0].n_cells))])
+            rps.append(rpm.GridRoughPath(rps[0].t0, rps[0].dt, x,
+                                         rng.normal(0.0, 0.01, rps[0].n_cells), GAMMA))
+        last = rps[0].n_cells - cells
+        windows = [(3, last), (0, 0), (1, 0), (2, 0), (0, 0), (3, 0), (1, last // 2)]
+        windows += [(p, a) for a in range(last, -1, -7) for p in (2, 0, 3, 1)]
+        for eta, chi in ((ETA, 0.3), (ETA, 0.6), (0.0, 0.6)):
+            want = [per_window_counts(rps[p], eta, chi, [a], cells)[0] for p, a in windows]
+            assert greedy.window_counts(rps, eta, chi, windows, cells) == want
+            assert cells == 1 or len(set(want)) > 1
+
+    def test_rejects_paths_off_one_grid(self):
+        rp = noisy_path(32)
+        for other in (rpm.shift(rp, rp.dt), rpm.GridRoughPath(0.0, rp.dt, rp.x_raw, rp.xx, GAMMA),
+                      rpm.GridRoughPath(rp.t0, rp.dt, rp.x_raw, rp.xx, 0.45)):
+            with pytest.raises(ValueError, match="share one grid"):
+                greedy.window_counts([rp, other], ETA, 0.3, [(0, 0), (1, 0)], 32)
+        for windows in ([(2, 0)], [(-1, 0)], [(0, 0, 1)]):
+            with pytest.raises(ValueError):
+                greedy.window_counts([rp, rp], ETA, 0.3, windows, 32)
+
+    def test_steep_line_costs_one_tile_per_round(self, monkeypatch):
+        # every one of 1024 cells is a greedy step: each round builds one row,
+        # and its first tile of BLOCK columns already passes chi (the last
+        # row, the path's end)
+        steep = rpm.lift_piecewise_linear(8.0 * np.arange(1025) / 1024, 0.0, 1.0 / 1024,
+                                          gamma=0.49)
+        columns = []
+        pair_costs = greedy._pair_costs
+
+        def counting(raw, xxc, a, rows, k0, k1, *rest):
+            columns.append(k1 - k0)
+            return pair_costs(raw, xxc, a, rows, k0, k1, *rest)
+
+        monkeypatch.setattr(greedy, "_pair_costs", counting)
+        assert greedy.window_counts([steep], 0.05, 0.019, [(0, 0)], 1024) == [1024]
+        assert len(columns) == 1024 and max(columns) <= rpm.BLOCK
 
     def test_chunked_memory(self):
         # every unit window of a 14-unit, 32-step path: one batch of all 417
@@ -390,7 +444,7 @@ class TestWindowCounts:
         starts = range(rp.n_cells - 32 + 1)
         tracemalloc.start()
         try:
-            counts = greedy.window_counts(rp, 0.05, 0.019, starts, 32)
+            counts = batched_counts(rp, 0.05, 0.019, starts, 32)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -507,7 +561,7 @@ class TestPrunedDpBitwise:
         cuts = ref_greedy_scan(rp, eta, chi, 0, rp.n_cells)
         assert gp.taus.tolist() == (rp.t0 + rp.dt * np.asarray(cuts, dtype=float)).tolist()
         s, t = rp.t0 + 23 * rp.dt, rp.t0 + 623 * rp.dt
-        assert greedy.count_in_window(rp, eta, chi, s, t) == \
+        assert greedy.greedy_times(rp, eta, chi, (s, t)).count == \
             len(ref_greedy_scan(rp, eta, chi, 23, 623)) - 1
 
     def test_first_cell_error_context(self):
@@ -525,7 +579,7 @@ class TestPrunedDpBitwise:
         starts = mixed_starts(rp.n_cells - cells)
         for eta, chi in ((0.1, 0.3), (0.0, 0.3), (0.3, 0.6)):
             want = [len(ref_greedy_scan(rp, eta, chi, a, a + cells)) - 1 for a in starts]
-            assert greedy.window_counts(rp, eta, chi, starts, cells) == want
+            assert batched_counts(rp, eta, chi, starts, cells) == want
 
     def test_all_pairs_rows(self):
         rp = prune_path("noisy", 140)

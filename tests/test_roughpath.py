@@ -349,16 +349,38 @@ class TestWindowSeminorms:
             last = rp.n_cells - cells
             starts = [last, 0, last // 2, 0, last] + list(range(last, -1, -3))
             assert len(starts) > rpm.CHUNK
-            sx, sxx = rpm.window_seminorms(rp, starts, cells)
+            sx, sxx = rpm.window_seminorms([rp], [(0, a) for a in starts], cells)
             for a, got_x, got_xx in zip(starts, sx.tolist(), sxx.tolist()):
                 rep = rpm.holder_seminorm(rp, (rp.t0 + a * rp.dt, rp.t0 + (a + cells) * rp.dt))
                 assert (got_x, got_xx) == (rep.seminorm_x, rep.seminorm_xx)
+
+    @pytest.mark.parametrize("cells", [1, 63, 64, 65, 129])
+    def test_stack_of_paths_bitwise(self, cells):
+        # paths of one grid; (path, start) pairs unordered and repeated, the
+        # same start on several paths
+        rng = np.random.default_rng(cells)
+        n = cells + 30
+        rps = [rpm.GridRoughPath(0.25, 1.0 / 32,
+                                 np.concatenate([[0.0], np.cumsum(rng.normal(0.0, scale, n))]),
+                                 rng.normal(0.0, 0.1, n), 0.45) for scale in (0.1, 0.3, 1.0)]
+        windows = [(2, 30), (0, 0), (1, 0), (2, 0), (0, 0)]
+        windows += [(p, a) for a in range(30, -1, -4) for p in (1, 2, 0)]
+        sx, sxx = rpm.window_seminorms(rps, windows, cells)
+        for (p, a), got_x, got_xx in zip(windows, sx.tolist(), sxx.tolist()):
+            rep = rpm.holder_seminorm(rps[p], (0.25 + a / 32, 0.25 + (a + cells) / 32))
+            assert (got_x, got_xx) == (rep.seminorm_x, rep.seminorm_xx)
 
     def test_rejects_windows_off_the_grid(self):
         rp = lift_linear(64)
         for starts, cells in (([0], 0), ([-1], 32), ([33], 32)):
             with pytest.raises(ValueError):
-                rpm.window_seminorms(rp, starts, cells)
+                rpm.window_seminorms([rp], [(0, a) for a in starts], cells)
+        for windows in ([(1, 0)], [(-1, 0)]):
+            with pytest.raises(ValueError):
+                rpm.window_seminorms([rp], windows, 32)
+        for other in (rpm.shift(rp, rp.dt), lift_linear(64, gamma=0.45)):
+            with pytest.raises(ValueError, match="share one grid"):
+                rpm.window_seminorms([rp, other], [(0, 0), (1, 0)], 32)
 
 
 class TestShift:
