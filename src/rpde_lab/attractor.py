@@ -36,7 +36,7 @@ import numpy as np
 
 from .configio import get_finite, get_typed, load_kv_file
 from .errors import ConfigError, NumericsError
-from .greedy import window_counts
+from .greedy import window_constants
 from .gronwall import discrete_gronwall
 from .roughpath import GridRoughPath, window_seminorms
 from .solver import ControlledPath, _evolve_lockstep, controlled_norm, solve_many
@@ -309,9 +309,9 @@ def _window_constants(constants: BoundConstants, windows) -> list:
     """(N, [X], [XX]) of each (rough path, (s, t)) window, in window order.
 
     A window has a positive length of at most one. The windows of one grid
-    and cell count form one batch of window_counts and window_seminorms, each
-    distinct (path, start) once. Errors come in window order, as one window
-    at a time raises them.
+    and cell count form one batch of greedy.window_constants, each distinct
+    (path, start) once. Errors come in window order, as one window at a time
+    raises them.
     """
     def place(window):  # (batch key, path, start)
         rp, (s, t) = window
@@ -331,13 +331,13 @@ def _window_constants(constants: BoundConstants, windows) -> list:
     try:
         for key, paths in batches.items():
             pairs = list(dict.fromkeys((paths[rp], i) for k, rp, i in where if k == key))
-            counts = window_counts(list(paths), constants.eta, constants.chi, pairs, key[-1])
-            sx, sxx = window_seminorms(list(paths), pairs, key[-1])
+            counts, sx, sxx = window_constants(list(paths), constants.eta, constants.chi,
+                                               pairs, key[-1])
             values[key] = dict(zip(pairs, zip(counts, sx.tolist(), sxx.tolist())))
     except NumericsError:
         # batches do not know each other's order: rescan window by window
         for key, rp, i in where:
-            window_counts([rp], constants.eta, constants.chi, [(0, i)], key[-1])
+            window_constants([rp], constants.eta, constants.chi, [(0, i)], key[-1])
         raise
     if error is not None:
         raise error
@@ -720,6 +720,22 @@ def _grid_eps_values(rp: GridRoughPath, eps_points: int) -> np.ndarray:
     return idx[np.diff(idx, prepend=-1) != 0] * rp.dt
 
 
+def _absorb_windows(rp: GridRoughPath, constants: BoundConstants, truncation_k: int,
+                    eps_points: int) -> list:
+    """The windows whose constants absorbing_radius evaluates on rp, in
+    evaluation order, after its checks of the arguments: per eps, the unit
+    windows [-k - eps, 1 - k - eps] for k = 0, ..., truncation_k; k = 0
+    gives P1 and P2, k >= 1 the series."""
+    constants.require_positive_gap_rate()
+    if truncation_k < 2:
+        raise ValueError("need at least two series terms")
+    if rp.t0 > -truncation_k - 1 + 1e-9 or rp.end_time < 1.0 - 1e-9:
+        raise ValueError(
+            f"realization must cover [-{truncation_k + 1}, 1], got [{rp.t0}, {rp.end_time}]")
+    return [(rp, (float(-k - eps), float(1.0 - k - eps)))
+            for eps in _grid_eps_values(rp, eps_points) for k in range(truncation_k + 1)]
+
+
 def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
                      truncation_k: int = 40, eps_points: int = 11,
                      ergodic: ErgodicReport | None = None) -> AbsorbReport:
@@ -732,25 +748,22 @@ def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
     the chained estimate. absorbing_radii also evolves an initial state over
     [-truncation_k, 0] and compares it against the radius.
     """
-    constants.require_positive_gap_rate()
-    if truncation_k < 2:
-        raise ValueError("need at least two series terms")
-    if rp.t0 > -truncation_k - 1 + 1e-9 or rp.end_time < 1.0 - 1e-9:
-        raise ValueError(
-            f"realization must cover [-{truncation_k + 1}, 1], got [{rp.t0}, {rp.end_time}]")
+    windows = _absorb_windows(rp, constants, truncation_k, eps_points)
+    return _absorb_report(rp, constants, truncation_k, eps_points, ergodic,
+                          _window_p(constants, windows))
+
+
+def _absorb_report(rp: GridRoughPath, constants: BoundConstants, truncation_k: int,
+                   eps_points: int, ergodic: ErgodicReport | None, consts) -> AbsorbReport:
+    """absorbing_radius from the _window_p values of its _absorb_windows."""
     lam = constants.lam
-    eps_values = _grid_eps_values(rp, eps_points)
-    # per eps, the unit windows [-k - eps, 1 - k - eps] for k = 0, ..., truncation_k
-    # in evaluation order; k = 0 gives P1 and P2, k >= 1 the series
-    consts = iter(_window_p(constants, [
-        (rp, (float(-k - eps), float(1.0 - k - eps)))
-        for eps in eps_values for k in range(truncation_k + 1)]))
+    consts = iter(consts)
     best_sum = -math.inf
     best_terms = None
     best_eps = 0.0
     p1_val = 0.0
     p2_val = 0.0
-    for eps in eps_values:
+    for eps in _grid_eps_values(rp, eps_points):
         _, _, _, p1, p2 = next(consts)
         p1_val = max(p1_val, p1)
         p2_val = max(p2_val, p2)
@@ -797,15 +810,27 @@ def absorbing_radii(model: SpectralModel, cases, constants: BoundConstants,
                     ergodic: ErgodicReport | None = None) -> list:
     """absorbing_radius of each (realization, initial state) case, state evolved.
 
-    The evolutions over [-truncation_k, 0] are solved as one block
+    The window constants of every case come from one batch, and the
+    evolutions over [-truncation_k, 0] are solved as one block
     (solver.solve_many), so the realizations must share one grid. Errors
     come in the order of case-by-case calls: a case's radius error before
     its solve error, and both before anything of a later case.
     """
     cases = list(cases)
-    reports, error = _until_error(
-        lambda case: absorbing_radius(case[0], constants, truncation_k, eps_points, ergodic),
-        cases, (NumericsError, ValueError))
+    try:
+        windows = [_absorb_windows(rp, constants, truncation_k, eps_points) for rp, _ in cases]
+        consts = _window_p(constants, [w for case in windows for w in case])
+    except (NumericsError, ValueError):
+        # the batch does not know the order of cases: rerun case by case
+        reports, error = _until_error(
+            lambda case: absorbing_radius(case[0], constants, truncation_k, eps_points, ergodic),
+            cases, (NumericsError, ValueError))
+    else:
+        consts = iter(consts)  # each case takes the values of its windows in turn
+        reports, error = _until_error(
+            lambda item: _absorb_report(item[0][0], constants, truncation_k, eps_points, ergodic,
+                                        [next(consts) for _ in item[1]]),
+            zip(cases, windows), (NumericsError, ValueError))
     solved = cases[:len(reports)]
     trajs = solve_many(model, [y0 for _, y0 in solved],
                        [rp.window(float(-truncation_k), 0.0) for rp, _ in solved])

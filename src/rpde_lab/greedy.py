@@ -28,20 +28,25 @@ superadditive, so it is monotone in the right endpoint: each greedy step scans
 from its start and stops at the first column past the threshold, so the whole
 scan costs O(n * (longest step + BLOCK)) time.
 
-window_counts counts equal-length windows of a stack of paths at once, for
-every caller of a window count, the windows stepping in lockstep.
+window_constants gives the window constants (N, [X], [XX]) of equal-length
+windows of a stack of paths in one pass, the windows stepping in lockstep.
+Its batched DP costs each tile's pairs i < j only, and the rows from the
+windows' starts, built across their windows, fold the seminorms from the same
+pair values that their costs are raised from.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
-from .roughpath import BLOCK, CHUNK, GridRoughPath, _chen_pairs, _join_windows, _prefix_sums
+from .roughpath import (BLOCK, GridRoughPath, _chen_pairs, _fold_sups, _join_windows, _lag_table,
+                        _prefix_sums, _rows_per_call, _seminorm_values, _triangle)
 
 # margins of the far-block bound of _control_dp: relative, over the rounding of
 # the costs and pows it bounds (a few ulps times the exponent 1 / (gamma - eta),
@@ -260,70 +265,145 @@ def greedy_times(rp: GridRoughPath, eta: float, chi: float, interval=None) -> Gr
     return GreedyPartition(taus, chi, eta, interval)
 
 
+@functools.lru_cache(maxsize=16)
+def _dp_weights(cells: int, dt: float, eta: float, g: float):
+    """_lag_weights(0, cells + 1, ...) of the batched DP, indexed by the lag;
+    built once per (cells, dt, eta, g) and read-only. None when eta = 0."""
+    w = _lag_weights(0, cells + 1, dt, eta, g)
+    if w is not None:
+        w.flags.writeable = False
+    return w
+
+
+@functools.lru_cache(maxsize=BLOCK)
+def _packed(b: int):
+    """_triangle(b) and the offsets of its rows: the pairs (i, j) with
+    j > i of point i are the entries off[i], ..., off[i + 1] - 1."""
+    rows, cols = _triangle(b)
+    return rows, cols, [i * b - i * (i - 1) // 2 for i in range(b + 2)]
+
+
+def _dp_pairs(cells: int) -> int:
+    """Entries per DP row of the largest pair array of _step_lengths over a
+    window of cells cells: a tile's square or its triangle."""
+    return max(max((k0 - 1) * b, b * (b + 1) // 2)
+               for k0 in range(1, cells + 1, BLOCK) for b in [min(BLOCK, cells + 1 - k0)])
+
+
 def _step_lengths(raw: np.ndarray, xx: np.ndarray, dt: float, eta: float, g: float,
-                  chi: float, room):
+                  chi: float, room, tables=None):
     """Greedy step length from the first point of each window of the batch
-    raw, xx, and the one-cell dp of that step.
+    raw, xx, the DP rows, and with tables the windows' seminorms.
 
     Row b is _control_dp's dp from raw[b, 0] (the same costs and maxima of
-    single sums), built BLOCK columns at a time. dp is nondecreasing: the step
-    ends before the first column k with dp[k] ** g > chi (the scan's scalar
-    pow), found by bisection, and the tiles stop once every row b has passed
-    chi or column room[b] (a step of room[b] or more cells may be longer).
+    single sums), built BLOCK columns at a time. A tile of the columns
+    k0, ..., k1 - 1 costs only the pairs i < j: the rows 0, ..., k0 - 2 as a
+    square, and the tile's own points k0 - 1, ..., k1 - 1 as the packed
+    triangle of _pair_sups, where the later columns of each point are
+    contiguous. The rows before the tile are maximized at once; each column
+    then raises the later columns of the tile by its triangle row. A maximum
+    does not round, so dp is the column-by-column recursion bit for bit.
+    dp is nondecreasing: the step ends before the first column k with
+    dp[k] ** g > chi (the scan's scalar pow), found by bisection.
+
+    Without tables, the tiles stop once every row b has passed chi or column
+    room[b] (a step of room[b] or more cells may be longer). With tables,
+    the lag tables of [X] and [XX], every row is built across its whole
+    window: its pairs are all the window's pairs, and their |X| and |XX|,
+    before they are raised to costs, fold the seminorms as _pair_sups does.
+    Returns (lengths, dp, [[X], [XX]]), the seminorms None without tables.
     """
     cells = raw.shape[-1] - 1
-    sums = _prefix_sums(raw, xx)
+    # the grid points first and the batch last: a column's candidates, and
+    # the later columns of a triangle row, are contiguous
+    raw, xxc, a = (np.ascontiguousarray(v.T) for v in (raw, *_prefix_sums(raw, xx)))
+    values = _seminorm_values(raw, xxc, a, axis=0)
+    w = _dp_weights(cells, dt, eta, g)
+    p1, p2 = 1.0 / g, 0.5 / g
+    sups = None if tables is None else [0.0, 0.0]
+
+    def costs(i, j):
+        lag = j - i
+        ax, axx = values(i, j)
+        if sups is not None:
+            _fold_sups(sups, (np.moveaxis(ax, -1, 0), np.moveaxis(axx, -1, 0)), lag, tables)
+        cost = np.power(ax, p1, out=ax)
+        cost += np.power(axx, p2, out=axx)
+        if w is not None:
+            cost *= w[lag][..., None]
+        return cost
+
     dp = np.zeros(raw.shape)
     k0 = 1
     while True:
         k1 = min(k0 + BLOCK, cells + 1)
-        weight = _toeplitz(_lag_weights(k0 - k1 + 1, k1, dt, eta, g), 0, k0, k1)
-        cost = _pair_costs(raw, *sums, slice(0, k1), k0, k1, weight, 1.0 / g, 0.5 / g)
-        cost[:, :k0] += dp[:, :k0, None]
-        best = cost[:, :k0].max(axis=1)
-        for c in range(k1 - k0):
-            dp[:, k0 + c] = best[:, c]
-            np.maximum(best[:, c + 1:], dp[:, k0 + c, None] + cost[:, k0 + c, c + 1:],
-                       out=best[:, c + 1:])
+        rows, cols, off = _packed(k1 - k0)
+        tri = costs(rows + (k0 - 1), cols + (k0 - 1))
+        best = tri[:k1 - k0] + dp[k0 - 1]
+        if k0 > 1:
+            square = costs(np.arange(k0 - 1)[:, None], np.arange(k0, k1)[None])
+            square += dp[:k0 - 1, None]
+            np.maximum(best, square.max(axis=0), out=best)
+        for c in range(k1 - k0 - 1):
+            later = best[c + 1:]
+            np.maximum(later, tri[off[c + 1]:off[c + 2]] + best[c], out=later)
+        dp[k0:k1] = best
         k0 = k1
-        if k0 > cells or all(v ** g > chi or k1 > r for v, r in zip(dp[:, k1 - 1].tolist(), room)):
+        if k0 > cells or sups is None and all(
+                v ** g > chi or k1 > r for v, r in zip(dp[k1 - 1].tolist(), room)):
             break
+    dp = dp.T
     lengths = [bisect.bisect_right(row, chi, 1, k0, key=lambda v: v ** g) - 1
                for row in dp.tolist()]
-    return lengths, dp[:, 1]
+    return lengths, dp, sups
 
 
-def window_counts(rps, eta: float, chi: float, windows, cells: int) -> list[int]:
-    """Greedy counts N of the windows of roughpath.window_seminorms.
+def window_constants(rps, eta: float, chi: float, windows, cells: int):
+    """Greedy counts N and seminorms [X]_gamma, [XX]_2gamma of the windows of
+    roughpath.window_seminorms, in one pass.
 
     The windows walk their greedy steps in lockstep; each round builds the DP
-    rows of the (path, grid point) pairs first reached in it, CHUNK rows at a
-    time, once however many windows step from them. Each count equals
-    greedy_times(...).count over the same window, and a window whose scan
+    rows of the (path, grid point) pairs first reached in it, once however
+    many windows step from them, as many rows per call as PAIR_BYTES allows.
+    The first round builds the row from each window's start across the whole
+    window, and the same pairs fold the window's seminorms; a row first
+    reached in a later round stops in the first tile past chi or its path's
+    end. Each count equals greedy_times(...).count and each seminorm
+    holder_seminorm over the same window, bit for bit. A window whose scan
     meets a cell above chi raises the scan's NumericsError, the first such
-    window in the order of windows.
+    window in the order of windows. Returns the counts as a list and the
+    seminorms as two arrays, aligned with windows.
     """
     rp, raw, xx, starts = _join_windows(rps, windows, cells)
     _check_args(rp, eta, chi)
     g = rp.gamma - eta
+    tables = [_lag_table(cells, rp.dt, p) for p in (rp.gamma, 2.0 * rp.gamma)]
+    step = _rows_per_call(_dp_pairs(cells))
     # a window caps its steps at its own end, so a row stops at its path's end
     span = rp.n_cells + cells + 1
-    # end of the step from each joined point (-1: row not built) and its dp[1]
+    # end of the step from each joined point (-1: row not built), its dp[1],
+    # and the seminorms of the window from it
     step_end = np.full(raw.shape[0], -1)
     first = np.empty(raw.shape[0])
+    sx, sxx = np.empty(raw.shape[0]), np.empty(raw.shape[0])
     cur, end = starts.copy(), starts + cells
     counts = np.zeros(starts.size, dtype=int)
     walking = np.ones(starts.size, dtype=bool)
     stuck = np.zeros(starts.size, dtype=bool)
+    fold = tables  # only the first round, of the windows' starts
     while walking.any():
         # distinct rows to build, sorted (np.unique would import numpy.ma)
         new = np.sort(cur[walking & (step_end[cur] < 0)])
         new = new[np.diff(new, prepend=-1) != 0]
-        for c in range(0, new.size, CHUNK):
-            rows = new[c:c + CHUNK]
-            lengths, first[rows] = _step_lengths(raw[rows], xx[rows], rp.dt, eta, g, chi,
-                                                 (rp.n_cells - rows % span).tolist())
+        for c in range(0, new.size, step):
+            rows = new[c:c + step]
+            lengths, dp, sups = _step_lengths(raw[rows], xx[rows], rp.dt, eta, g, chi,
+                                              (rp.n_cells - rows % span).tolist(), fold)
             step_end[rows] = rows + lengths
+            first[rows] = dp[:, 1]
+            if sups is not None:
+                sx[rows], sxx[rows] = sups
+        fold = None
         nxt = step_end[cur]
         stuck |= walking & (nxt == cur)
         walking &= ~stuck
@@ -333,7 +413,7 @@ def window_counts(rps, eta: float, chi: float, windows, cells: int) -> list[int]
     if stuck.any():
         bad = int(cur[np.argmax(stuck)])
         raise _coarse_cell(rp, chi, bad % span, float(first[bad] ** g))
-    return counts.tolist()
+    return counts.tolist(), sx[starts], sxx[starts]
 
 
 def control_w_all_pairs(rp: GridRoughPath, eta: float, interval=None) -> np.ndarray:

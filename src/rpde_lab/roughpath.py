@@ -29,14 +29,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NumericsError
 
 _GRID_RTOL = 1e-9
-# columns of pair values built per block by the window kernels (the pair
+# columns of pair values built per tile by the window kernels (the pair
 # suprema here and the greedy DP); the 32-cell unit windows of the
-# absorbing-radius pipeline fit in one block
+# absorbing-radius pipeline fit in one tile
 BLOCK = 64
-# windows evaluated together by the batched window kernels (window_seminorms
-# here, greedy.window_counts): memory is O(CHUNK * cells * BLOCK) whatever the
-# number of windows
-CHUNK = 16
+# bytes of one array of pair values of the batched window kernels
+# (window_seminorms here, greedy.window_constants): each takes as many windows
+# or DP rows per call as keep its largest pair array within them (at least
+# one), 31 of 32 cells and 7 of 64, whatever the number of windows; 2 ** 15
+# and 2 ** 18 both ran the unit windows of absorb slower
+PAIR_BYTES = 2 ** 17
 
 
 class GridRoughPath:
@@ -240,17 +242,23 @@ def _chen_at(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray, i, j) -> np.ndarra
     """Second level XX[i, j] at the pairs that the indices i and j select, by
     _chen_ends; the selections by i and by j broadcast to the shape of the
     result."""
-    return _chen_ends(raw[i], raw[j], xxc[i], xxc[j], a[i], a[j])
+    ri = raw[i]
+    return _chen_ends(ri, raw[j] - ri, xxc[j] - xxc[i], a[j] - a[i])
 
 
-def _chen_ends(ri, rj, ci, cj, ai, aj) -> np.ndarray:
+def _chen_ends(ri, x, dc, da) -> np.ndarray:
     """XX[i, j] = (xxc[j]-xxc[i]) + (a[j]-a[i]) - raw[i]*(raw[j]-raw[i]) from
-    raw and the prefix sums xxc, a of _prefix_sums taken at i and at j.
+    raw[i], the increments x = raw[j] - raw[i], dc = xxc[j] - xxc[i] and
+    da = a[j] - a[i], with xxc and a the prefix sums of _prefix_sums.
 
     Each entry is the same elementwise expression however the endpoints were
-    gathered, so it is bitwise the entry of the full block.
+    gathered, so it is bitwise the entry of the full block. The sums are
+    taken in place, in the order of the formula, in dc: a fresh array of
+    the result's shape, which the result overwrites.
     """
-    return (cj - ci) + (aj - ai) - ri * (rj - ri)
+    dc += da
+    dc -= ri * x
+    return dc
 
 
 def _second_level_block(raw: np.ndarray, xx: np.ndarray, c0: int = 0) -> np.ndarray:
@@ -277,6 +285,24 @@ def _triangle(b: int):
     return rows, cols
 
 
+def _rows_per_call(pairs: int) -> int:
+    """Windows or DP rows per call of a batched kernel whose largest array of
+    pair values holds pairs entries per row: PAIR_BYTES of float64."""
+    return max(1, PAIR_BYTES // (8 * pairs))
+
+
+def _fold_sups(best: list, values, lag, tables) -> None:
+    """best[k] = fmax(best[k], sup of values[k] / tables[k][lag]) over the
+    pair axes, the trailing lag.ndim axes of values[k]; leading axes index a
+    batch of windows. A correctly rounded division is monotone, so the sup
+    over the pairs of a lag is the lag's largest value over its weight, and
+    fmax does not round: the result does not depend on how the pairs are
+    grouped, bit for bit."""
+    pair_axes = tuple(range(-lag.ndim, 0))
+    for k, (vals, table) in enumerate(zip(values, tables)):
+        best[k] = np.fmax(best[k], np.fmax.reduce(vals / table[lag], axis=pair_axes))
+
+
 def _pair_sups(values, m: int, dt: float, exponents) -> list:
     """Sup over grid pairs 0 <= i < j <= m of value[i, j] / ((j - i) * dt) ** p.
 
@@ -290,18 +316,14 @@ def _pair_sups(values, m: int, dt: float, exponents) -> list:
     them in BLOCK x BLOCK squares (i a column, j a row). A window of up to
     BLOCK cells is one triangle, and memory is O(BLOCK^2) per window whatever
     m. Each lag weight is evaluated once, by Python's scalar pow, and each
-    pair reads it by its lag. A correctly rounded division is monotone, so
-    the largest value / weight of a lag is the lag's largest value over its
-    weight: the result equals the lag-by-lag supremum bit for bit.
+    pair reads it by its lag (_fold_sups): the result equals the lag-by-lag
+    supremum bit for bit.
     """
-    weights = [_lag_table(m, dt, p) for p in exponents]
-    best = [0.0] * len(weights)
+    tables = [_lag_table(m, dt, p) for p in exponents]
+    best = [0.0] * len(tables)
 
     def fold(i, j):
-        lag = j - i
-        pair_axes = tuple(range(-lag.ndim, 0))
-        for k, vals in enumerate(values(i, j)):
-            best[k] = np.fmax(best[k], np.fmax.reduce(vals / weights[k][lag], axis=pair_axes))
+        _fold_sups(best, values(i, j), j - i, tables)
 
     for c0 in range(1, m + 1, BLOCK):
         c1 = min(c0 + BLOCK, m + 1)
@@ -312,16 +334,20 @@ def _pair_sups(values, m: int, dt: float, exponents) -> list:
     return [b if np.ndim(b) else float(b) for b in best]
 
 
-def _seminorm_values(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray):
-    """values(i, j) of _pair_sups for [X] and [XX] of the windows raw (grid
-    points on the last axis, a batch on leading axes) with prefix sums xxc, a."""
+def _seminorm_values(raw: np.ndarray, xxc: np.ndarray, a: np.ndarray, axis: int = -1):
+    """values(i, j) of _pair_sups for [X] and [XX] of the windows raw with
+    prefix sums xxc, a: the grid points on the given axis, a batch of
+    windows on the other; the pair axes of the values take its place."""
 
     def values(i, j):
-        # np.take gathers along the last axis faster than (..., i) does
-        ri, rj = np.take(raw, i, axis=-1), np.take(raw, j, axis=-1)
-        ci, cj = np.take(xxc, i, axis=-1), np.take(xxc, j, axis=-1)
-        ai, aj = np.take(a, i, axis=-1), np.take(a, j, axis=-1)
-        return np.abs(rj - ri), np.abs(_chen_ends(ri, rj, ci, cj, ai, aj))
+        # np.take gathers along an axis faster than (..., i) does, and each
+        # endpoint array is let go once its increment is taken
+        dc = np.take(xxc, j, axis=axis) - np.take(xxc, i, axis=axis)
+        da = np.take(a, j, axis=axis) - np.take(a, i, axis=axis)
+        ri = np.take(raw, i, axis=axis)
+        x = np.take(raw, j, axis=axis) - ri
+        xx = _chen_ends(ri, x, dc, da)
+        return np.abs(x, out=x), np.abs(xx, out=xx)
 
     return values
 
@@ -364,18 +390,20 @@ def window_seminorms(rps, windows, cells: int):
     rps is a sequence of rough paths with the same t0, dt, cell count and
     gamma, and windows holds (path number, a) pairs, one per window
     [t_a, t_(a + cells)] of that path, in any order and with repeats. They go
-    through the pair walk of holder_seminorm CHUNK at a time, so every entry
-    equals holder_seminorm over the same window bit for bit. Returns two
-    arrays aligned with windows.
+    through the pair walk of holder_seminorm as many at a time as PAIR_BYTES
+    allows, so every entry equals holder_seminorm over the same window bit
+    for bit. Returns two arrays aligned with windows.
     """
     rp, raw, xx, starts = _join_windows(rps, windows, cells)
     sx = np.empty(starts.size)
     sxx = np.empty(starts.size)
-    for c in range(0, starts.size, CHUNK):
-        r = raw[starts[c:c + CHUNK]]
-        values = _seminorm_values(r, *_prefix_sums(r, xx[starts[c:c + CHUNK]]))
-        sx[c:c + CHUNK], sxx[c:c + CHUNK] = _pair_sups(values, cells, rp.dt,
-                                                       (rp.gamma, 2.0 * rp.gamma))
+    # the largest pair array of the walk: the first triangle or a full square
+    step = _rows_per_call(cells * (cells + 1) // 2 if cells <= BLOCK else BLOCK * BLOCK)
+    for c in range(0, starts.size, step):
+        r = raw[starts[c:c + step]]
+        values = _seminorm_values(r, *_prefix_sums(r, xx[starts[c:c + step]]))
+        sx[c:c + step], sxx[c:c + step] = _pair_sups(values, cells, rp.dt,
+                                                     (rp.gamma, 2.0 * rp.gamma))
     return sx, sxx
 
 

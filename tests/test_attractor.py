@@ -675,9 +675,9 @@ class TestAbsorbingRadii:
         with pytest.raises(NumericsError) as solve_error:
             solver.solve_mild(model, huge, good.window(-6.0, 0.0))
 
-        def first_error(cases):
+        def first_error(cases, constants=cons):
             with pytest.raises(NumericsError) as err:
-                att.absorbing_radii(model, cases, cons, truncation_k=6)
+                att.absorbing_radii(model, cases, constants, truncation_k=6)
             return str(err.value), err.value.context
 
         radius = str(radius_error.value), radius_error.value.context
@@ -689,6 +689,19 @@ class TestAbsorbingRadii:
         # ... and an earlier case's solve error before a later case's radius error
         assert first_error([(good, huge), (bad, zero)]) == solve
         assert first_error([(good, zero), (good, huge), (bad, zero)]) == solve
+        # an earlier case's series error before a later case's cell above chi,
+        # although the later case's window constants raise in the batch of all
+        # cases, before any series is summed
+        weak_gap = att.BoundConstants.derive(desk_model(c_g=0.5, lambda_a=0.01), m_big=1.0,
+                                             **DESK)
+        growing = scaled_lift(6, 8.0, -7.0, scale=0.02)
+        with pytest.raises(NumericsError, match="not decaying") as series_error:
+            att.absorbing_radius(growing, weak_gap, truncation_k=6)
+        with pytest.raises(NumericsError, match="grid too coarse"):
+            att.absorbing_radius(bad, weak_gap, truncation_k=6)
+        series = str(series_error.value), series_error.value.context
+        assert first_error([(growing, zero), (bad, zero)], weak_gap) == series
+        assert "grid too coarse" in first_error([(bad, zero), (growing, zero)], weak_gap)[0]
 
 def ref_pullback_estimate(model, ensemble, t_list, cloud):
     """The per-point solve_mild loop that the lockstep evolution replaced."""

@@ -301,7 +301,7 @@ def test_long_horizon_in_linear_memory():
 
 
 # ---------------------------------------------------------------------------
-# batched counts of equal-length windows against the per-window scan
+# batched window constants of equal-length windows against the per-window scan
 # ---------------------------------------------------------------------------
 
 def noisy_path(cells, extra=40):
@@ -312,10 +312,18 @@ def noisy_path(cells, extra=40):
     return rpm.GridRoughPath(0.25, 1.0 / 32, x, rng.normal(0.0, 0.01, n), GAMMA)
 
 
+@pytest.fixture
+def small_calls(monkeypatch):
+    """A budget of eight pair values: the batched kernels take at most eight
+    windows or DP rows per call, so a few windows need several calls."""
+    monkeypatch.setattr(rpm, "PAIR_BYTES", 64)
+
+
 def mixed_starts(last):
-    """Unordered starts with repeats, both path ends, more than one chunk."""
+    """Unordered starts with repeats, both path ends, more distinct starts
+    than one call of small_calls takes."""
     starts = [last, 0, last // 2, 0, last] + list(range(last, -1, -3))
-    assert len(starts) > rpm.CHUNK and len(set(starts)) < len(starts)
+    assert len(set(starts)) > 8 and len(set(starts)) < len(starts)
     return starts
 
 
@@ -327,13 +335,13 @@ def per_window_counts(rp, eta, chi, starts, cells):
 
 
 def batched_counts(rp, eta, chi, starts, cells):
-    """window_counts of windows of the one path rp."""
-    return greedy.window_counts([rp], eta, chi, [(0, a) for a in starts], cells)
+    """The counts of window_constants over windows of the one path rp."""
+    return greedy.window_constants([rp], eta, chi, [(0, a) for a in starts], cells)[0]
 
 
 class TestWindowCounts:
     @pytest.mark.parametrize("cells", [1, 31, 32, 64, 65])
-    def test_matches_count_in_window(self, cells):
+    def test_matches_count_in_window(self, cells, small_calls):
         # shifted paths, windows that end at the path's end, and steps from
         # near the end, whose DP rows run past it
         base = noisy_path(cells)
@@ -390,7 +398,7 @@ class TestWindowCounts:
                 batched_counts(rp, ETA, 0.3, starts, cells)
 
     @pytest.mark.parametrize("cells", [1, 63, 64, 65, 129, 200])
-    def test_stack_of_paths(self, cells):
+    def test_stack_of_paths(self, cells, small_calls):
         # paths of one grid with different step lengths (chi = 0.6 gives
         # steps of tens to over a hundred cells, across the column tiles);
         # windows as (path, start) pairs, unordered and repeated, the same
@@ -406,7 +414,7 @@ class TestWindowCounts:
         windows += [(p, a) for a in range(last, -1, -7) for p in (2, 0, 3, 1)]
         for eta, chi in ((ETA, 0.3), (ETA, 0.6), (0.0, 0.6)):
             want = [per_window_counts(rps[p], eta, chi, [a], cells)[0] for p, a in windows]
-            assert greedy.window_counts(rps, eta, chi, windows, cells) == want
+            assert greedy.window_constants(rps, eta, chi, windows, cells)[0] == want
             assert cells == 1 or len(set(want)) > 1
 
     def test_rejects_paths_off_one_grid(self):
@@ -414,31 +422,44 @@ class TestWindowCounts:
         for other in (rpm.shift(rp, rp.dt), rpm.GridRoughPath(0.0, rp.dt, rp.x_raw, rp.xx, GAMMA),
                       rpm.GridRoughPath(rp.t0, rp.dt, rp.x_raw, rp.xx, 0.45)):
             with pytest.raises(ValueError, match="share one grid"):
-                greedy.window_counts([rp, other], ETA, 0.3, [(0, 0), (1, 0)], 32)
+                greedy.window_constants([rp, other], ETA, 0.3, [(0, 0), (1, 0)], 32)
         for windows in ([(2, 0)], [(-1, 0)], [(0, 0, 1)]):
             with pytest.raises(ValueError):
-                greedy.window_counts([rp, rp], ETA, 0.3, windows, 32)
+                greedy.window_constants([rp, rp], ETA, 0.3, windows, 32)
 
-    def test_steep_line_costs_one_tile_per_round(self, monkeypatch):
-        # every one of 1024 cells is a greedy step: each round builds one row,
-        # and its first tile of BLOCK columns already passes chi (the last
-        # row, the path's end)
+    def test_steep_line_start_row_spans_window_later_rows_one_tile(self, monkeypatch):
+        # every one of 1024 cells is a greedy step, so each of the 1024
+        # rounds builds one row. The first row, from the window's start, is
+        # built across the window (16 tiles), as its seminorms need every
+        # pair; each later row stops in its first tile of at most BLOCK
+        # columns, which already passes chi (the last row, the path's end)
         steep = rpm.lift_piecewise_linear(8.0 * np.arange(1025) / 1024, 0.0, 1.0 / 1024,
                                           gamma=0.49)
-        columns = []
-        pair_costs = greedy._pair_costs
+        tiles = []  # per _step_lengths call: its rows and the width of each tile
+        step_lengths, packed = greedy._step_lengths, greedy._packed
 
-        def counting(raw, xxc, a, rows, k0, k1, *rest):
-            columns.append(k1 - k0)
-            return pair_costs(raw, xxc, a, rows, k0, k1, *rest)
+        def counting_calls(raw, *rest):
+            tiles.append((raw.shape[0], []))
+            return step_lengths(raw, *rest)
 
-        monkeypatch.setattr(greedy, "_pair_costs", counting)
-        assert greedy.window_counts([steep], 0.05, 0.019, [(0, 0)], 1024) == [1024]
-        assert len(columns) == 1024 and max(columns) <= rpm.BLOCK
+        def counting_tiles(b):
+            tiles[-1][1].append(b)
+            return packed(b)
+
+        monkeypatch.setattr(greedy, "_step_lengths", counting_calls)
+        monkeypatch.setattr(greedy, "_packed", counting_tiles)
+        counts, sx, sxx = greedy.window_constants([steep], 0.05, 0.019, [(0, 0)], 1024)
+        assert counts == [1024]
+        rep = rpm.holder_seminorm(steep)
+        assert (sx.tolist(), sxx.tolist()) == ([rep.seminorm_x], [rep.seminorm_xx])
+        assert tiles[0] == (1, [rpm.BLOCK] * 16)
+        assert len(tiles) == 1024
+        assert all(rows == 1 and len(b) == 1 and b[0] <= rpm.BLOCK for rows, b in tiles[1:])
 
     def test_chunked_memory(self):
         # every unit window of a 14-unit, 32-step path: one batch of all 417
-        # windows would hold several 417 x 33 x 32 float arrays (3.5 MB each)
+        # windows would hold several arrays of 417 x 528 pair values (1.8 MB
+        # each), counts and seminorms alike
         xs = 0.01 * rpm.sample_fbm(0.5, 14 * 32, 2, horizon=14.0)
         rp = rpm.lift_piecewise_linear(xs, -13.0, 1.0 / 32, gamma=0.49)
         starts = range(rp.n_cells - 32 + 1)
@@ -586,6 +607,81 @@ class TestPrunedDpBitwise:
         mat = greedy.control_w_all_pairs(rp, 0.1, (rp.t0, rp.t0 + 140 * rp.dt))
         for i in (0, 5, 11):
             assert np.array_equal(mat[i, i:], ref_control_dp(rp, 0.1, i, 140, math.inf)[0])
+
+
+# ---------------------------------------------------------------------------
+# the fused window pass: packed DP rows, counts and seminorms, bit for bit
+# ---------------------------------------------------------------------------
+
+def ref_step_dp(raw, xx, dt, eta, g):
+    """The full-square batched DP that the packed triangle replaced: every
+    (row, column) entry of each tile of ref_cost_block, over whole rows."""
+    cells = raw.shape[-1] - 1
+    dp = np.zeros(raw.shape)
+    for k0 in range(1, cells + 1, rpm.BLOCK):
+        k1 = min(k0 + rpm.BLOCK, cells + 1)
+        cost = ref_cost_block(raw[:, :k1], xx[:, :k1 - 1], k0, dt, eta, g)
+        cost[:, :k0] += dp[:, :k0, None]
+        best = cost[:, :k0].max(axis=1)
+        for c in range(k1 - k0):
+            dp[:, k0 + c] = best[:, c]
+            np.maximum(best[:, c + 1:], dp[:, k0 + c, None] + cost[:, k0 + c, c + 1:],
+                       out=best[:, c + 1:])
+    return dp
+
+
+def stack_of_paths(cells):
+    """Three paths of one grid, 60 cells longer than the windows, whose xx
+    is not the geometric lift, with steps of a few to over a hundred cells."""
+    rps = []
+    for k, sd in enumerate((0.02, 0.035, 0.05)):
+        rng = np.random.default_rng([cells, k, 7])
+        x = np.concatenate([[0.0], np.cumsum(rng.normal(0.0, sd, cells + 60))])
+        rps.append(rpm.GridRoughPath(0.25, 1.0 / 32, x, rng.normal(0.0, 0.01, cells + 60), GAMMA))
+    return rps
+
+
+FUSED_CELLS = [1, 31, 32, 33, 63, 64, 65, 129]
+
+
+class TestWindowConstants:
+    @pytest.mark.parametrize("eta", [0.0, 0.05])
+    @pytest.mark.parametrize("cells", FUSED_CELLS)
+    def test_matches_per_window_reference(self, cells, eta):
+        # (path, start) windows unordered and repeated, the same start on
+        # several paths, against one greedy scan and one seminorm pass each
+        rps = stack_of_paths(cells)
+        windows = [(2, 60), (0, 0), (1, 0), (0, 0), (2, 0), (1, 30), (1, 30)]
+        windows += [(p, a) for a in range(60, -1, -11) for p in (1, 2, 0)]
+        counts, sx, sxx = greedy.window_constants(rps, eta, 0.3, windows, cells)
+        want = []
+        for p, a in windows:
+            s, t = rps[p].t0 + a * rps[p].dt, rps[p].t0 + (a + cells) * rps[p].dt
+            rep = rpm.holder_seminorm(rps[p], (s, t))
+            want.append((greedy.greedy_times(rps[p], eta, 0.3, (s, t)).count,
+                         rep.seminorm_x, rep.seminorm_xx))
+        assert np.array_equal(np.array(list(zip(counts, sx, sxx))), np.array(want))
+        assert cells < 31 or len({n for n, _, _ in want}) > 1
+
+    @pytest.mark.parametrize("eta", [0.0, 0.05])
+    @pytest.mark.parametrize("cells", FUSED_CELLS)
+    def test_dp_rows_match_full_square(self, cells, eta):
+        # rows from every point of a path: with the seminorm tables the whole
+        # row, without them the tiles built until every row passed chi
+        rp = stack_of_paths(cells)[1]
+        g = GAMMA - eta
+        raw = sliding_window_view(rp.x_raw, cells + 1)
+        xx = sliding_window_view(rp.xx, cells)
+        ref = ref_step_dp(raw, xx, rp.dt, eta, g)
+        tables = [rpm._lag_table(cells, rp.dt, p) for p in (GAMMA, 2 * GAMMA)]
+        room = [cells] * raw.shape[0]
+        _, dp, sups = greedy._step_lengths(raw, xx, rp.dt, eta, g, 0.3, room, tables)
+        assert np.array_equal(dp, ref) and len(sups) == 2
+        _, dp, sups = greedy._step_lengths(raw, xx, rp.dt, eta, g, 0.3, room)
+        built = 1 + int(np.count_nonzero(dp[0, 1:]))
+        assert sups is None and (built == cells + 1 or (built - 1) % rpm.BLOCK == 0)
+        assert np.array_equal(dp[:, :built], ref[:, :built]) and not dp[:, built:].any()
+        assert cells < 129 or built < cells + 1
 
 
 def drift_path(cells, slope, flat=0, offset=0.0, seed=0):

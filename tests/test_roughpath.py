@@ -333,10 +333,12 @@ class TestPairSupKernel:
 
 class TestWindowSeminorms:
     @pytest.mark.parametrize("cells", [1, 31, 32, 64, 65])
-    def test_matches_holder_seminorm_bitwise(self, cells):
+    def test_matches_holder_seminorm_bitwise(self, cells, monkeypatch):
         # shifted paths; starts unordered, repeated, at both path ends and
-        # more than one chunk of them; xx is not the geometric lift; lag
-        # weights on which numpy's array pow and the scalar pow differ
+        # more of them than one call takes under a budget of eight pair
+        # values; xx is not the geometric lift; lag weights on which
+        # numpy's array pow and the scalar pow differ
+        monkeypatch.setattr(rpm, "PAIR_BYTES", 64)
         rng = np.random.default_rng(cells)
         n = cells + 40
         # with a drift, the suprema sit at the longest lags
@@ -348,7 +350,7 @@ class TestWindowSeminorms:
             rp = rpm.shift(base, k * base.dt)
             last = rp.n_cells - cells
             starts = [last, 0, last // 2, 0, last] + list(range(last, -1, -3))
-            assert len(starts) > rpm.CHUNK
+            assert len(starts) > 8
             sx, sxx = rpm.window_seminorms([rp], [(0, a) for a in starts], cells)
             for a, got_x, got_xx in zip(starts, sx.tolist(), sxx.tolist()):
                 rep = rpm.holder_seminorm(rp, (rp.t0 + a * rp.dt, rp.t0 + (a + cells) * rp.dt))
