@@ -894,9 +894,13 @@ def pullback_estimate(model: SpectralModel, constants: BoundConstants,
 
     All (t, point) trajectories of one seed move in lockstep on its path
     (solver._evolve_lockstep): points that reach the same state in floating
-    point merge and share their remaining steps, so a contracting cloud costs
-    little more than one trajectory, while every evolved state is bitwise the
-    one a separate solve_mild reaches.
+    point merge and share their remaining steps, and rows whose point values
+    already agree share their kernel grid, while every evolved state is
+    bitwise the one a separate solve_mild reaches. A contracting cloud still
+    costs several trajectories, since rows merge only once every mode agrees
+    to the last bit: an 8-point cloud from t = 2, 4, 8 and 16 at 32 steps per
+    unit steps about 4430 rows instead of 7680 and evaluates about 3400
+    kernel grids, against 512 steps for one trajectory from t = 16.
     """
     t_list = sorted(float(t) for t in t_list)
     if not t_list or t_list[0] <= 0:

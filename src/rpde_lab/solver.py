@@ -19,10 +19,13 @@ One step loop, solve_many, serves every full trajectory: it steps a
 (rows, modes) block of trajectories that share a grid, such as a command's
 seeds, and solve_mild is its one-row call. The linear model's diffusion and
 the drift are elementwise, so the block steps as one array, bitwise equal to
-each row stepped alone; the integral diffusion goes row by row inside the
+each row stepped alone. The integral diffusion goes row by row inside the
 block step, since a stacked kernel gemm would change the summation order and
-with it the last bits. y and y' of all rows live in one (rows, steps + 1,
-modes) block each, and every ControlledPath holds a view of its row.
+with it the last bits, and it evaluates its kernel grid once per distinct
+point-value vector u = y @ basis (SpectralModel.diffusion_key): rows with
+equal u get bitwise equal (G, DG[G]) pairs, so they share one evaluation.
+y and y' of all rows live in one (rows, steps + 1, modes) block each, and
+every ControlledPath holds a view of its row.
 
 The scheme consumes per-cell increments of the raw sampled noise, so solving
 over [0, s+t] and solving over [0, s] followed by the shifted noise on [0, t]
@@ -31,10 +34,11 @@ produce bit-identical states (exact cocycle property on grids).
 A pullback cloud needs only the final states of many trajectories driven by
 one noise path from several start times. _evolve_lockstep walks that grid
 once: rows join at their start cell, rows whose coefficients are equal byte
-for byte merge before each step, and each distinct row is stepped once by the
-step solve_mild takes. Trajectories that synchronize in floating point (a
-contracting cloud does) thus share their remaining steps, and every final
-state is bitwise the one solve_mild reaches.
+for byte merge before each step, and the distinct rows are stepped as one
+block by the step solve_mild takes. Trajectories that synchronize in floating
+point (a contracting cloud does) thus share their remaining steps; rows that
+are still apart but whose point values already agree share their kernel
+grid. Every final state is bitwise the one solve_mild reaches.
 """
 
 from __future__ import annotations
@@ -135,13 +139,20 @@ def _g_and_dg_rows(model: SpectralModel, cur: np.ndarray, work):
     """(G, DG[G]) of a coefficient row, or of each row of a (rows, modes) block.
 
     The linear diffusion is elementwise and takes the block at once; any other
-    goes row by row, since a stacked kernel gemm would move the last bits.
+    goes row by row, since a stacked kernel gemm would move the last bits, and
+    evaluates once per distinct model.diffusion_key: a row whose key an
+    earlier row has gets that row's pair, which is bitwise its own.
     """
     if cur.ndim == 1 or model.g_kind == "linear":
         return model.g_and_dg(cur, work)
     g, dg_g = np.empty_like(cur), np.empty_like(cur)
+    firsts = {}  # key -> first row that has it
     for r, row in enumerate(cur):
-        g[r], dg_g[r] = model.g_and_dg(row, work)
+        first = firsts.setdefault(model.diffusion_key(row), r)
+        if first == r:
+            g[r], dg_g[r] = model.g_and_dg(row, work)
+        else:
+            g[r], dg_g[r] = g[first], dg_g[first]
     return g, dg_g
 
 
@@ -149,7 +160,9 @@ def _euler_step(model: SpectralModel, cur: np.ndarray, work, decay: np.ndarray,
                 step: float, x, xx):
     """One exponential Euler step from the coefficient row cur: (G(cur), next row).
 
-    cur may also be a (rows, modes) block, with x and xx as (rows, 1) columns.
+    cur may also be a (rows, modes) block, with x and xx as scalars shared by
+    every row or as (rows, 1) columns. Every operation but the diffusion is
+    elementwise, so each row of the block is bitwise the row stepped alone.
     """
     g, dg_g = _g_and_dg_rows(model, cur, work)
     return g, decay * (cur + model.f_values(cur) * step + g * x + dg_g * xx)
@@ -241,11 +254,12 @@ def _evolve_lockstep(model: SpectralModel, rp: GridRoughPath, end: int, entries)
     entries holds (start index, initial state) pairs. Each entry's trajectory
     takes the steps solve_mild takes on the window of rp from its start to
     end, but the entries move in lockstep: a row joins at its start cell,
-    rows equal byte for byte merge before each step, and each distinct row
-    is stepped once. Returns one coefficient array per entry, or None where
-    solve_mild would raise a NumericsError: a step beyond 1e150 or non-finite,
-    or a non-finite G at the end (a non-finite G earlier makes its own step
-    non-finite).
+    rows equal byte for byte merge before each step, and the distinct rows
+    are stepped as one block, whose rows with equal diffusion keys share one
+    kernel evaluation (_g_and_dg_rows). Returns one coefficient array per
+    entry, or None where solve_mild would raise a NumericsError: a step
+    beyond 1e150 or non-finite, or a non-finite G at the end (a non-finite G
+    earlier makes its own step non-finite).
     """
     joins = {}
     for idx, (start, y0) in enumerate(entries):
@@ -264,12 +278,16 @@ def _evolve_lockstep(model: SpectralModel, rp: GridRoughPath, end: int, entries)
         for c in range(first, end):
             for idx, coeffs in joins.get(c, ()):
                 live.setdefault(coeffs.tobytes(), (coeffs, []))[1].append(idx)
+            if not live:
+                continue
+            block = np.array([row for row, _ in live.values()])
+            nxt = _euler_step(model, block, work, decay, rp.dt,
+                              x_step[c - first], xx_step[c - first])[1]
             stepped = {}
-            for row, members in live.values():
-                nxt = _euler_step(model, row, work, decay, rp.dt,
-                                  x_step[c - first], xx_step[c - first])[1]
-                if np.abs(nxt).max() <= _BLOW_CAP:
-                    stepped.setdefault(nxt.tobytes(), (nxt, []))[1].extend(members)
+            for row, ok, (_, members) in zip(nxt, np.abs(nxt).max(axis=1) <= _BLOW_CAP,
+                                             live.values()):
+                if ok:
+                    stepped.setdefault(row.tobytes(), (row, []))[1].extend(members)
             live = stepped
         for row, members in live.values():
             if np.isfinite(model.g_values(row, work)).all():
@@ -329,11 +347,7 @@ def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPat
 
 def composition_pair(model: SpectralModel, path: ControlledPath) -> ControlledPath:
     """The controlled pair (G(y), DG(y)[G(y)]) along a solved trajectory."""
-    gy = np.empty_like(path.y)
-    gyp = np.empty_like(path.y)
-    work = model.kernel_work()
-    for k, row in enumerate(path.y):
-        gy[k], gyp[k] = model.g_and_dg(row, work)
+    gy, gyp = _g_and_dg_rows(model, path.y, model.kernel_work())
     return ControlledPath(path.times.copy(), gy, gyp, path.gamma)
 
 

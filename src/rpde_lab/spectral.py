@@ -277,6 +277,19 @@ class SpectralModel:
             return g, self._dg_values(y, g)
         return g, self._dg_on_grid(work, g)
 
+    def diffusion_key(self, y: np.ndarray) -> bytes:
+        """Bytes that fix g_and_dg(y): rows with equal keys get the same pair bitwise.
+
+        The integral diffusion reads y only through its point values u = y @ basis:
+        g_values builds its grid (or the custom kernel's values) from u, and
+        DG(y)[h] reads that grid and h = G(y), itself fixed by u. So the key is
+        the bytes of u, from the product g_values takes. The linear diffusion
+        reads y itself.
+        """
+        if self.g_kind == "linear":
+            return y.tobytes()
+        return self._point_values(y).tobytes()
+
     def apply_g(self, state: SpectralState) -> SpectralState:
         """Diffusion coefficient: diagonal fractional power or integral operator.
 

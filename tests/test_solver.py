@@ -273,6 +273,25 @@ def drift_model():
     return SpectralModel(12, lambda_a=2.0, sigma_f=0.25, sigma_g=0.2, c_f=0.6, c_g=0.4)
 
 
+def count_rows(monkeypatch):
+    """Counts of rows stepped by solver._euler_step and of rows whose
+    SpectralModel.g_and_dg runs; a (rows, modes) block counts its rows."""
+    counts = {"steps": 0, "kernels": 0}
+    step, g_and_dg = solver._euler_step, SpectralModel.g_and_dg
+
+    def counting_step(model, cur, *args):
+        counts["steps"] += len(np.atleast_2d(cur))
+        return step(model, cur, *args)
+
+    def counting_kernel(model, y, work=None):
+        counts["kernels"] += len(np.atleast_2d(y))
+        return g_and_dg(model, y, work)
+
+    monkeypatch.setattr(solver, "_euler_step", counting_step)
+    monkeypatch.setattr(SpectralModel, "g_and_dg", counting_kernel)
+    return counts
+
+
 class TestSolveMany:
     """solver.solve_many: one block of trajectories on a shared grid, bitwise per row."""
 
@@ -360,6 +379,18 @@ class TestSolveMany:
             solver.solve_many(model, [huge, ones], [rp, rp])
         assert err.value.context == {"t_bad": 1.0 / n}
 
+    def test_repeated_rows_share_their_kernel(self, monkeypatch):
+        model = SpectralModel(16, lambda_a=8.0, c_g=0.5, g_kind="integral")
+        rp = brownian_lift(7, n=32, scale=0.3)
+        y0, y1 = np.random.default_rng(7).standard_normal((2, 16))
+        want = [solver.solve_mild(model, y, rp) for y in (y0, y0, y1)]
+        counts = count_rows(monkeypatch)
+        got = solver.solve_many(model, [y0, y0, y1], [rp] * 3)
+        # two evaluations per step and two for the final y' rows
+        assert counts["kernels"] == 2 * (rp.n_cells + 1)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.y, b.y) and np.array_equal(a.y_prime, b.y_prime)
+
     def test_grids_must_match(self):
         model = SpectralModel(2, lambda_a=1.0)
         rp = brownian_lift(9, n=32)
@@ -370,6 +401,59 @@ class TestSolveMany:
                 solver.solve_many(model, [np.ones(2)] * 2, [rp, other])
         with pytest.raises(ValueError, match="one rough path per initial state"):
             solver.solve_many(model, [np.ones(2)] * 2, [rp])
+
+
+class TestSharedKernel:
+    """solver._g_and_dg_rows: one g_and_dg per distinct SpectralModel.diffusion_key."""
+
+    @staticmethod
+    def check(model, block, monkeypatch):
+        # each row gets its own g_and_dg pair; returns the evaluations made
+        want = [model.g_and_dg(row) for row in block]
+        counts = count_rows(monkeypatch)
+        g, dg_g = solver._g_and_dg_rows(model, block, model.kernel_work())
+        for r, (want_g, want_dg) in enumerate(want):
+            assert np.array_equal(g[r], want_g) and np.array_equal(dg_g[r], want_dg)
+        return counts["kernels"]
+
+    def test_rows_apart_below_an_ulp_of_u_share_one_evaluation(self, monkeypatch):
+        # mode 1 near 1e-25 moves u = y @ basis by far less than one ulp of
+        # its 1e-8 entries: the rows differ, their point values do not
+        model = SpectralModel(16, lambda_a=8.0, c_g=0.5, g_kind="integral")
+        row = 1e-8 * np.random.default_rng(5).standard_normal(16)
+        row[0] = 1e-25
+        twin = row.copy()
+        twin[0] += 1e-40
+        assert row.tobytes() != twin.tobytes()
+        assert model.diffusion_key(row) == model.diffusion_key(twin)
+        assert self.check(model, np.array([row, twin]), monkeypatch) == 1
+
+    def test_rows_apart_at_one_node_evaluate_apart(self, monkeypatch):
+        # as many modes as nodes, so a row can move u at the last node alone,
+        # by less than a float32 ulp; its G moves with it
+        model = SpectralModel(4, lambda_a=8.0, c_g=0.5, g_kind="integral", quad_points=4)
+        basis = model._point_values(np.eye(4))
+        row = np.random.default_rng(6).standard_normal(4)
+        u = model._point_values(row)
+        to_last = np.linalg.solve(basis.T, np.eye(4)[3])
+        for eps in 1e-9 * 0.75 ** np.arange(40):
+            twin = row + eps * to_last
+            v = model._point_values(twin)
+            moved = v != u
+            if moved[3] and not moved[:3].any() and np.array_equal(v.astype(np.float32),
+                                                                     u.astype(np.float32)):
+                break
+        else:
+            pytest.fail("no row moves u at the last node alone")
+        assert model.diffusion_key(row) != model.diffusion_key(twin)
+        assert not np.array_equal(model.g_values(row), model.g_values(twin))
+        assert self.check(model, np.array([row, twin, row]), monkeypatch) == 2
+
+    def test_linear_keys_are_the_rows(self):
+        model = drift_model()
+        row = np.random.default_rng(8).standard_normal(12)
+        assert model.diffusion_key(row) == row.tobytes()
+
 
 def lockstep_reference(model, rp, end, entries):
     """One solve_mild per entry: its final state, or None where it raises."""
@@ -387,24 +471,18 @@ class TestLockstep:
     """solver._evolve_lockstep: each distinct row stepped once, bitwise per-point states."""
 
     @pytest.fixture
-    def steps(self, monkeypatch):
-        # rows the evolver steps, counted at the Euler step it shares with solve_mild
-        calls = []
-        step = solver._euler_step
-
-        def counting(*args):
-            calls.append(args[1])
-            return step(*args)
-
-        monkeypatch.setattr(solver, "_euler_step", counting)
-        return calls
+    def counts(self, monkeypatch):
+        # rows the evolver steps, counted at the Euler step it shares with
+        # solve_mild (a block counts its rows), and rows whose kernel
+        # g_and_dg evaluates
+        return count_rows(monkeypatch)
 
     @staticmethod
-    def check(model, rp, t_list, cloud, steps):
+    def check(model, rp, t_list, cloud, counts):
         end = rp.index(0.0)
         entries = [(rp.index(-t), point) for t in t_list for point in cloud]
         want = lockstep_reference(model, rp, end, entries)
-        steps.clear()
+        counts.update(steps=0, kernels=0)
         got = solver._evolve_lockstep(model, rp, end, entries)
         assert len(got) == len(want)
         for a, b in zip(got, want):
@@ -412,18 +490,21 @@ class TestLockstep:
             assert b is None or np.array_equal(a, b)
         return sum(end - start for start, _ in entries), got
 
-    def test_contracting_integral_cloud_merges(self, steps):
+    def test_contracting_integral_cloud_merges(self, counts):
         # the cloud collapses onto one state in floating point after about
         # five units, so the t = 8 points share their last steps
         model = SpectralModel(16, lambda_a=8.0, c_g=2e-4, g_kind="integral")
         rp = brownian_lift(3, n=256, horizon=8.0, scale=0.01, t0=-8.0)
         cloud = np.random.default_rng(3).standard_normal((3, 16))
-        row_steps, got = self.check(model, rp, (2.0, 4.0, 8.0), cloud, steps)
-        assert len(steps) < row_steps - 100
+        row_steps, got = self.check(model, rp, (2.0, 4.0, 8.0), cloud, counts)
+        assert counts["steps"] < row_steps - 100
+        # before rows merge, their point values agree to the last bit: mode 1,
+        # which the kernel hardly forces, keeps them apart far below one ulp of u
+        assert counts["kernels"] < counts["steps"] - 100
         assert all(np.array_equal(got[6], y) for y in got[7:])
 
     @pytest.mark.parametrize("kind", ["integral", "linear_drift"])
-    def test_cloud_that_never_merges(self, steps, kind):
+    def test_cloud_that_never_merges(self, counts, kind):
         if kind == "integral":
             model = SpectralModel(16, lambda_a=8.0, c_g=2e-4, g_kind="integral")
         else:
@@ -431,25 +512,26 @@ class TestLockstep:
                                   c_f=0.6, c_g=0.4)
         rp = brownian_lift(16, n=96, horizon=3.0, scale=0.3, t0=-3.0)
         cloud = np.random.default_rng(17).standard_normal((3, model.n_modes))
-        row_steps, _ = self.check(model, rp, (1.0, 2.0, 3.0), cloud, steps)
-        assert len(steps) == row_steps
+        row_steps, _ = self.check(model, rp, (1.0, 2.0, 3.0), cloud, counts)
+        assert counts["steps"] == row_steps
+        assert counts["kernels"] == row_steps
 
-    def test_repeated_times_and_points_step_once(self, steps):
+    def test_repeated_times_and_points_step_once(self, counts):
         model = SpectralModel(12, lambda_a=2.0, sigma_f=0.25, sigma_g=0.2, c_f=0.6, c_g=0.4)
         rp = brownian_lift(18, n=64, horizon=2.0, scale=0.3, t0=-2.0)
         point = np.random.default_rng(19).standard_normal(12)
         cloud = np.array([point, point, -point])
-        row_steps, _ = self.check(model, rp, (1.0, 2.0, 2.0), cloud, steps)
-        assert len(steps) == 2 * 64 + 2 * 32
+        row_steps, _ = self.check(model, rp, (1.0, 2.0, 2.0), cloud, counts)
+        assert counts["steps"] == counts["kernels"] == 2 * 64 + 2 * 32
         assert row_steps == 6 * 64 + 3 * 32
 
-    def test_dropped_rows_match_solve_mild_errors(self, steps):
+    def test_dropped_rows_match_solve_mild_errors(self, counts):
         # the large points blow up on the long window only; the small ones and
         # the zero state survive every window
         model = SpectralModel(2, lambda_a=0.5, c_g=100.0)
         rp = brownian_lift(0, n=128, horizon=4.0, scale=1.0, t0=-4.0)
         cloud = np.array([[1.0, 1.0], [2.0, -1.0], [1e-100, 2e-100], [0.0, 0.0]])
-        _, got = self.check(model, rp, (1.0, 2.0, 4.0), cloud, steps)
+        _, got = self.check(model, rp, (1.0, 2.0, 4.0), cloud, counts)
         assert [y is None for y in got] == [False] * 8 + [True, True, False, False]
 
     def test_validation(self):
