@@ -295,16 +295,18 @@ def criterion_5() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 def criterion_6() -> CriterionResult:
-    # the fixture of the bounds command: lifts over [0, 4], trajectories from unit states
+    # the fixture of the bounds command: lifts over [0, 4], trajectories from
+    # unit states solved as far as the checks read
     model = _bounds_model()
     cons = att.BoundConstants.derive(model, m_big=1.0, **_GREEDY_CONS)
-    train = solve_seeds(_FINE_NOISE, model, cons.gamma, range(100))
+    train = solve_seeds(_FINE_NOISE, model, cons.gamma, range(100), end=1.0)
     cons = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for t, r in train], cons,
                                margin=0.1)
-    valid = solve_seeds(_FINE_NOISE, model, cons.gamma, range(1000, 1100))
-    sols = att.check_solution_bound(model, [(t, r, (0.0, 1.0)) for t, r in valid], cons)
+    valid = solve_seeds(_FINE_NOISE, model, cons.gamma, range(1000, 1100), end=3.0)
+    unit = [(traj, rp, (0.0, 1.0)) for traj, rp in valid]
+    sols, aprs = att.validate_bounds(model, unit, valid, cons, 3.0)
     sol_viol = sum(not sol.passed for sol in sols)
-    apr_viol = sum(not att.apriori_bound(model, traj, rp, cons, 3.0).passed for traj, rp in valid)
+    apr_viol = sum(not apr.passed for apr in aprs)
     passed = sol_viol == 0 and apr_viol == 0
     return CriterionResult(6, "bound pipeline calibrate/validate", passed,
                            f"calibrated m_big = {cons.m_big:.6g}; fresh-sample violations: "

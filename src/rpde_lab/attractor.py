@@ -39,7 +39,7 @@ from .errors import ConfigError, NumericsError
 from .greedy import window_constants
 from .gronwall import discrete_gronwall
 from .roughpath import GridRoughPath, window_seminorms
-from .solver import ControlledPath, _evolve_lockstep, controlled_norm, solve_many
+from .solver import ControlledPath, _controlled_norms, _evolve_lockstep, solve_many
 from .spectral import SpectralModel, smoothing_constant
 from .specfun import certify_ml_bound, gamma_fn, mittag_leffler
 
@@ -367,32 +367,23 @@ def _traj_index(traj: ControlledPath, t: float) -> int:
     return k
 
 
-def _solution_cases(model: SpectralModel, cases, constants: BoundConstants) -> list:
+def _solution_cases(model: SpectralModel, cases, constants: BoundConstants,
+                    norms=None) -> list:
     """(lhs = |y,y'|_D, |y_s|_alpha, N, [X], [XX], n_tilde) of each
     (trajectory, rough path, interval) case. Errors come in case order: a
     case's controlled-norm error after the window errors of those before it.
+    norms is solver._controlled_norms of the cases where the caller took it.
     """
     cases = list(cases)
-    lhs, error = _until_error(lambda case: controlled_norm(model, *case).total, cases)
-    solved = cases[:len(lhs)]
+    norms, error = norms or _controlled_norms(model, cases)
+    solved = cases[:len(norms)]
     consts = _window_constants(constants, [(rp, interval) for _, rp, interval in solved])
     ynorms = [model.frac_norm(traj.y[_traj_index(traj, interval[0])], model.alpha)
               for traj, _, interval in solved]
     if error is not None:
         raise error
-    return [(v, ynorm, *c, window_blocks(interval[1] - interval[0], constants.d_step))
-            for v, ynorm, c, (_, _, interval) in zip(lhs, ynorms, consts, solved)]
-
-
-def check_solution_bound(model: SpectralModel, cases, constants: BoundConstants) -> list:
-    """Verify |y,y'|_{D,[s,t]} <= |y_s|_alpha P1 + P2 on each (trajectory,
-    rough path, interval) case; one BoundCheck per case."""
-    checks = []
-    for lhs, ynorm, n, sx, sxx, n_tilde in _solution_cases(model, cases, constants):
-        _, p1, p2 = p_values(n, sx, sxx, n_tilde, constants.m_big, constants.m_tilde)
-        rhs = ynorm * p1 + p2
-        checks.append(BoundCheck(lhs <= rhs, lhs, rhs))
-    return checks
+    return [(v.total, ynorm, *c, window_blocks(interval[1] - interval[0], constants.d_step))
+            for v, ynorm, c, (_, _, interval) in zip(norms, ynorms, consts, solved)]
 
 
 def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
@@ -435,9 +426,10 @@ def calibrate_m_big(model: SpectralModel, cases, constants: BoundConstants,
 # a-priori estimate and its discrete chain form
 # ---------------------------------------------------------------------------
 
-def apriori_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
-                  constants: BoundConstants, t: float) -> BoundCheck:
-    """Check the weighted a-priori estimate at time t in [n, n+1]."""
+def _apriori_terms(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
+                   constants: BoundConstants, t: float) -> tuple:
+    """lhs, |y_0|_alpha and the rho of each unit window [l, l + 1] up to n + 1
+    of the weighted a-priori estimate at time t in [n, n + 1]."""
     constants.require_positive_gap_rate()
     if abs(traj.times[0]) > 1e-9:
         raise ValueError("a-priori estimate is anchored at start time 0")
@@ -447,19 +439,56 @@ def apriori_bound(model: SpectralModel, traj: ControlledPath, rp: GridRoughPath,
     if traj.times[-1] + 1e-9 < n + 1:
         raise ValueError(f"trajectory must be solved on [0, {n + 1}] for t = {t}")
     k = _traj_index(traj, t)
-    lam = constants.lam
-    lhs = model.frac_norm(traj.y[k], model.alpha) * math.exp(lam * t)
+    lhs = model.frac_norm(traj.y[k], model.alpha) * math.exp(constants.lam * t)
     y0 = model.frac_norm(traj.y[0], model.alpha)
-    # P3 = rho^2 (1 + |y,y'|_D) on each unit window [l, l + 1]
     starts = [rp.index(float(l)) for l in range(n + 2)]
     sx, sxx = window_seminorms([rp], [(0, a) for a in starts[:-1]], starts[1] - starts[0])
-    acc = 0.0
-    for l, rho in enumerate(a + b for a, b in zip(sx.tolist(), sxx.tolist())):
-        total = controlled_norm(model, traj, rp, (float(l), float(l + 1))).total
-        acc += math.exp(lam * l) * (rho ** 2 * (1.0 + total))
-    rhs = constants.c_tilde_a * y0 + constants.c_tilde_2 * math.exp(lam * t) \
-        + constants.c_tilde_1 * constants.c_g * acc
-    return BoundCheck(lhs <= rhs, lhs, rhs)
+    return lhs, y0, [a + b for a, b in zip(sx.tolist(), sxx.tolist())]
+
+
+def validate_bounds(model: SpectralModel, solution_cases, apriori_cases,
+                    constants: BoundConstants, t: float | None = None) -> tuple:
+    """Verify the solution bound on each (trajectory, rough path, interval) of
+    solution_cases and the weighted a-priori estimate at time t on each
+    (trajectory, rough path) of apriori_cases: two lists of BoundCheck.
+
+    The solution bound is |y,y'|_{D,[s,t]} <= |y_s|_alpha P1 + P2; the
+    a-priori estimate weighs P3 = rho^2 (1 + |y,y'|_D) of each unit window
+    [l, l + 1] up to t. One controlled-norm pass takes the norms of every
+    window of both lists, each distinct one once, so a [0, 1] window that
+    both check is measured once. Errors come in the order of checking each
+    solution case and then each a-priori case.
+    """
+    solution_cases, apriori_cases = list(solution_cases), list(apriori_cases)
+    terms, error = _until_error(lambda case: _apriori_terms(model, *case, constants, t),
+                                apriori_cases)
+    windows = [(traj, rp, (float(l), float(l + 1)))
+               for (traj, rp), (_, _, rhos) in zip(apriori_cases, terms) for l in range(len(rhos))]
+    norms, norm_error = _controlled_norms(model, solution_cases + windows)
+    solved = len(solution_cases)
+    # an error among the solution windows is the solution checks' own
+    sols = []
+    for lhs, ynorm, n, sx, sxx, n_tilde in _solution_cases(
+            model, solution_cases, constants,
+            (norms[:solved], norm_error if len(norms) < solved else None)):
+        _, p1, p2 = p_values(n, sx, sxx, n_tilde, constants.m_big, constants.m_tilde)
+        rhs = ynorm * p1 + p2
+        sols.append(BoundCheck(lhs <= rhs, lhs, rhs))
+    if norm_error is not None:
+        raise norm_error
+    if error is not None:
+        raise error
+    totals = iter(norm.total for norm in norms[solved:])
+    lam = constants.lam
+    aprs = []
+    for lhs, y0, rhos in terms:
+        acc = 0.0
+        for l, rho in enumerate(rhos):
+            acc += math.exp(lam * l) * (rho ** 2 * (1.0 + next(totals)))
+        rhs = constants.c_tilde_a * y0 + constants.c_tilde_2 * math.exp(lam * t) \
+            + constants.c_tilde_1 * constants.c_g * acc
+        aprs.append(BoundCheck(lhs <= rhs, lhs, rhs))
+    return sols, aprs
 
 
 def h_values(constants: BoundConstants, rho: float, p1: float, p2: float) -> tuple:

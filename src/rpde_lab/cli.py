@@ -332,21 +332,25 @@ def _traj_rows(model: SpectralModel, path: solver.ControlledPath):
     return rows
 
 
-def solve_seeds(cfg: ExperimentConfig, model: SpectralModel, gamma: float, seeds) -> list:
-    """(trajectory, lift) of each seed over [0, horizon], solved as one block.
+def solve_seeds(cfg: ExperimentConfig, model: SpectralModel, gamma: float, seeds,
+                end: float | None = None) -> list:
+    """(trajectory, lift) of each seed, solved as one block.
 
-    Each seed's lift is sample_lift's and its trajectory starts at its
-    unit_state; solver.solve_many steps them all at once.
+    Each seed's lift is sample_lift's over [0, horizon], whose samples depend
+    on the cell count, and its trajectory starts at its unit_state and runs
+    on the lift's window [0, end] (end defaults to the horizon): bitwise the
+    prefix of the full solve. solver.solve_many steps them all at once.
     """
     rps = [sample_lift(cfg, seed, cfg.horizon, 0.0, gamma) for seed in seeds]
-    paths = solver.solve_many(model, [unit_state(model, seed) for seed in seeds], rps)
+    spans = rps if end is None else [rp.window(0.0, end) for rp in rps]
+    paths = solver.solve_many(model, [unit_state(model, seed) for seed in seeds], spans)
     return list(zip(paths, rps))
 
 
-def _solve_chunk(cfg: ExperimentConfig, seeds):
+def _solve_chunk(cfg: ExperimentConfig, seeds, end: float | None = None):
     """The model of cfg and solve_seeds of a chunk of seeds under it."""
     model = _build_model(cfg)
-    return model, solve_seeds(cfg, model, _build_constants(cfg, model).gamma, seeds)
+    return model, solve_seeds(cfg, model, _build_constants(cfg, model).gamma, seeds, end)
 
 
 def _solve_task(cfg: ExperimentConfig, seeds) -> list:
@@ -365,9 +369,9 @@ def _cmd_solve(cfg: ExperimentConfig) -> None:
         write_csv(os.path.join(out, f"trajectory_seed{seed}.csv"), header, rows)
 
 
-def _bounds_task(cfg: ExperimentConfig, seeds) -> list:
+def _bounds_task(cfg: ExperimentConfig, end: float, seeds) -> list:
     # the model stays in the worker: an integral kernel's closures do not pickle
-    return _solve_chunk(cfg, seeds)[1]
+    return _solve_chunk(cfg, seeds, end)[1]
 
 
 def _apriori_time(horizon: float) -> float:
@@ -391,17 +395,17 @@ def _cmd_bounds(cfg: ExperimentConfig) -> None:
     model = _build_model(cfg)
     cons = _build_constants(cfg, model)
     out = _ensure_out(cfg)
-    task = partial(_bounds_task, cfg)
-    train = _parallel_map(task, range(cfg.train_seeds), cfg.jobs)
+    # each trajectory is solved as far as its checks read: [0, 1] for
+    # training, [0, t_check] for validation
+    train = _parallel_map(partial(_bounds_task, cfg, 1.0), range(cfg.train_seeds), cfg.jobs)
     cons = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for t, r in train],
                                cons, margin=cfg.calib_margin)
     del train  # frees the training block before the validation block is solved
     rows = []
     t_check = _apriori_time(cfg.horizon)
-    valid = _parallel_map(task, cfg.seeds, cfg.jobs)
-    sols = att.check_solution_bound(model, [(t, r, (0.0, 1.0)) for t, r in valid], cons)
-    for seed, (traj, rp), sol in zip(cfg.seeds, valid, sols):
-        apr = att.apriori_bound(model, traj, rp, cons, t_check)
+    valid = _parallel_map(partial(_bounds_task, cfg, t_check), cfg.seeds, cfg.jobs)
+    unit = [(traj, rp, (0.0, 1.0)) for traj, rp in valid]
+    for seed, sol, apr in zip(cfg.seeds, *att.validate_bounds(model, unit, valid, cons, t_check)):
         rows.append((seed, "0..1", "solution", sol.lhs, sol.rhs, int(sol.passed)))
         rows.append((seed, f"0..{t_check!r}", "apriori", apr.lhs, apr.rhs, int(apr.passed)))
     write_csv(os.path.join(out, "bounds.csv"),

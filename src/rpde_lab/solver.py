@@ -39,17 +39,23 @@ block by the step solve_mild takes. Trajectories that synchronize in floating
 point (a contracting cloud does) thus share their remaining steps; rows that
 are still apart but whose point values already agree share their kernel
 grid. Every final state is bitwise the one solve_mild reaches.
+
+controlled_norms measures a list of (trajectory, rough path, interval)
+cases, each distinct one once, and builds the pair values of every case and
+tile in one 64-byte-aligned workspace per call; controlled_norm is its
+one-case call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError
-from .roughpath import GridRoughPath, _pair_sups
-from .spectral import SpectralModel, SpectralState
+from .roughpath import BLOCK, GridRoughPath, _pair_sups
+from .spectral import SpectralModel, SpectralState, aligned_empty
 
 
 @dataclass(frozen=True)
@@ -304,11 +310,29 @@ def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPat
     sup |y|_alpha, sup |y'|_(alpha-gamma), the gamma-Hoelder seminorm of y' in
     alpha-2gamma, and the gamma / 2gamma seminorms of the remainder in
     alpha-gamma / alpha-2gamma. alpha defaults to the model's base space.
-    Each pair i < j is built once (roughpath._pair_sups), its remainder squared once.
+    The one-case call of controlled_norms.
     """
-    if alpha is None:
-        alpha = model.alpha
-    gamma = path.gamma
+    return controlled_norms(model, [(path, rp, interval)], alpha)[0]
+
+
+def controlled_norms(model: SpectralModel, cases, alpha: float | None = None) -> list:
+    """controlled_norm of each (trajectory, rough path, interval) case.
+
+    Each distinct (trajectory, rough path, interval) is evaluated once, and
+    the first case, in input order, for which controlled_norm would raise
+    raises that error. Each pair i < j is built once (roughpath._pair_sups),
+    its remainder squared once, into one set of 64-byte-aligned pair buffers
+    that every case and tile of the call reuses.
+    """
+    norms, error = _controlled_norms(model, cases, alpha)
+    if error is not None:
+        raise error
+    return norms
+
+
+def _norm_window(path: ControlledPath, rp: GridRoughPath, interval) -> tuple:
+    """Grid indices (lo, hi) of the interval on the trajectory, and the first-level
+    values of rp at them."""
     if interval is None:
         lo, hi = 0, path.times.size - 1
     else:
@@ -319,29 +343,70 @@ def controlled_norm(model: SpectralModel, path: ControlledPath, rp: GridRoughPat
             raise ValueError(f"interval {interval} outside the solved span")
     if abs(path.dt - rp.dt) > 1e-12 * rp.dt:
         raise ValueError("path and noise must share the grid step")
-    y = path.y[lo:hi + 1]
-    yp = path.y_prime[lo:hi + 1]
-    xvals = rp.x_raw[rp.index(path.times[lo]):rp.index(path.times[hi]) + 1]
+    return lo, hi, rp.x_raw[rp.index(path.times[lo]):rp.index(path.times[hi]) + 1]
 
+
+def _tile_pairs(cells: int) -> int:
+    """Pairs of the largest tile _pair_sups hands values() on a window of cells:
+    the one triangle of a window of up to BLOCK cells, else a square."""
+    return cells * (cells + 1) // 2 if cells <= BLOCK else BLOCK * BLOCK
+
+
+def _controlled_norms(model: SpectralModel, cases, alpha: float | None = None):
+    """(controlled_norm of the cases before the first failing one, its error or None)."""
+    if alpha is None:
+        alpha = model.alpha
+    windows, error = {}, None  # (path, rp, lo, hi) ids -> (path, lo, hi, x values)
+    keys = []
+    try:
+        for path, rp, interval in cases:
+            lo, hi, xvals = _norm_window(path, rp, interval)
+            keys.append((id(path), id(rp), lo, hi))
+            windows.setdefault(keys[-1], (path, lo, hi, xvals))
+    except ValueError as exc:
+        error = exc
+    if not windows:
+        return [], error
+    # three buffers of the largest tile's pair values, each row 64-byte aligned
+    pairs = max(_tile_pairs(hi - lo) for _, lo, hi, _ in windows.values())
+    bufs = aligned_empty((3, -(-pairs * model.n_modes // 8) * 8))
+    norms = {key: _window_norm(model, alpha, path.y[lo:hi + 1], path.y_prime[lo:hi + 1], xvals,
+                               path.gamma, path.dt, bufs)
+             for key, (path, lo, hi, xvals) in windows.items()}
+    return [norms[key] for key in keys], error
+
+
+def _window_norm(model: SpectralModel, alpha: float, y: np.ndarray, yp: np.ndarray,
+                 xvals: np.ndarray, gamma: float, dt: float, bufs) -> ControlledNorm:
+    """controlled_norm of the rows y, y' over the window with first-level values
+    xvals, its pair values built in the three rows of bufs."""
     sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
     sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
 
-    # frac_norm_rows's weights of the remainder's two spaces
+    # frac_norm_rows's weights of the remainder's two spaces; y'_j - y'_i is
+    # measured in the second
     w_g, w_2g = (model.mu ** (2.0 * a) for a in (alpha - gamma, alpha - 2.0 * gamma))
+    modes = y.shape[1]
+
+    def take(a, idx, buf):
+        # numpy gathers into out through a buffer of its own unless mode is "clip";
+        # the indices of _pair_sups lie in range
+        return np.take(a, idx, axis=0, out=buf[:idx.size * modes].reshape(idx.shape + (modes,)),
+                       mode="clip")
 
     def values(i, j):
-        # the remainder y_j - y_i - y'_i X[i, j], then y'_j - y'_i in its buffer;
-        # np.take gathers rows faster than indexing does
-        rem = np.take(y, j, axis=0) - np.take(y, i, axis=0)
-        ypi = np.take(yp, i, axis=0)
-        rem -= ypi * (xvals[j] - xvals[i])[..., None]
+        # the remainder y_j - y_i - y'_i X[i, j] in rem, then y'_j - y'_i in its place
+        shape = np.broadcast_shapes(i.shape, j.shape) + (modes,)
+        rem, tmp = (buf[:math.prod(shape)].reshape(shape) for buf in bufs[:2])
+        np.subtract(take(y, j, bufs[1]), take(y, i, bufs[2]), out=rem)
+        ypi = take(yp, i, bufs[2])
+        rem -= np.multiply(ypi, (xvals[j] - xvals[i])[..., None], out=tmp)
         rem *= rem
         norms = np.sqrt(rem @ w_g), np.sqrt(rem @ w_2g)
-        dyp = np.subtract(np.take(yp, j, axis=0), ypi, out=rem)
-        return model.frac_norm_rows(dyp, alpha - 2.0 * gamma), *norms
+        dyp = np.subtract(take(yp, j, bufs[1]), ypi, out=rem)
+        return np.sqrt(np.multiply(dyp, dyp, out=dyp) @ w_2g), *norms
 
-    hol_yp, rem_g, rem_2g = _pair_sups(values, y.shape[0] - 1, path.dt,
-                                       (gamma, gamma, 2.0 * gamma))
+    hol_yp, rem_g, rem_2g = _pair_sups(values, y.shape[0] - 1, dt, (gamma, gamma, 2.0 * gamma))
     return ControlledNorm(sup_y, sup_yp, hol_yp, rem_g, rem_2g)
 
 

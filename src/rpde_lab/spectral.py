@@ -63,6 +63,19 @@ class IntegralKernel:
         self.deriv_bound = float(deriv_bound)
 
 
+def aligned_empty(shape) -> np.ndarray:
+    """np.empty(shape) of float64 whose data starts on a 64-byte boundary.
+
+    Where numpy's allocator places an array follows the allocation history,
+    and elementwise loops over arrays off a cache-line boundary ran up to
+    twice as slow; hot scratch buffers take their place from here instead.
+    """
+    size = math.prod(shape)
+    raw = np.empty(8 * size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + 8 * size].view(np.float64).reshape(shape)
+
+
 def _tanh_parts(c_g: float, xi):
     """(c_g sin(pi xi), cos(pi xi)/2): scale and shift of the built-in kernel."""
     return c_g * np.sin(np.pi * xi), 0.5 * np.cos(np.pi * xi)
@@ -220,12 +233,13 @@ class SpectralModel:
         """Scratch for g_values / g_and_dg: the built-in kernel's grid and a work grid.
 
         Allocate it once per trajectory; None when no grid is reused (linear
-        model or custom kernel).
+        model or custom kernel). It starts on a 64-byte boundary (aligned_empty):
+        the grid step ran about a fifth slower when it did not.
         """
         if self._k_scale is None:
             return None
         q = self._nodes.size
-        return np.empty((2, q, q))
+        return aligned_empty((2, q, q))
 
     def _kernel_grid(self, u: np.ndarray, work: np.ndarray) -> np.ndarray:
         # the built-in kernel's grid tanh(u(x_j) + cos(pi xi_i)/2) into work[0]

@@ -54,6 +54,16 @@ def ref_window(rp, cons, interval):
                                        cons.m_big, cons.m_tilde)
 
 
+def solution_checks(model, cases, cons):
+    """The solution-bound checks of (trajectory, rough path, interval) cases."""
+    return att.validate_bounds(model, cases, [], cons)[0]
+
+
+def apriori(model, traj, rp, cons, t):
+    """The a-priori check of one trajectory at time t."""
+    return att.validate_bounds(model, [], [(traj, rp)], cons, t)[1][0]
+
+
 def window_p(rp, cons, interval):
     """(N, [X], [XX], P-tilde, P1, P2) of one interval by the batched pass."""
     n, sx, sxx = att._window_constants(cons, [(rp, interval)])[0]
@@ -271,7 +281,7 @@ class TestSolutionBound:
         cons = desk_constants(model, m_big=1.0)
         rp = zero_lift(1.0, 0.0)
         traj = solver.solve_mild(model, np.ones(16) / 4.0, rp)
-        chk, = att.check_solution_bound(model, [(traj, rp, (0.0, 1.0))], cons)
+        chk, = solution_checks(model, [(traj, rp, (0.0, 1.0))], cons)
         assert chk.passed and chk.rhs > chk.lhs
 
     def test_calibration_margin_and_monotonicity(self):
@@ -283,12 +293,12 @@ class TestSolutionBound:
             traj = solver.solve_mild(model, np.ones(16) / 4.0, rp)
             cases.append((traj, rp, (0.0, 1.0)))
         cal = att.calibrate_m_big(model, cases, cons, margin=0.1)
-        for chk in att.check_solution_bound(model, cases, cal):
+        for chk in solution_checks(model, cases, cal):
             assert chk.passed
             assert chk.rhs >= 1.1 * chk.lhs * (1 - 1e-6)
         smaller = cal.with_m_big(cal.m_big * 0.5)
         fails = sum(not chk.passed or chk.rhs < 1.1 * chk.lhs
-                    for chk in att.check_solution_bound(model, cases, smaller))
+                    for chk in solution_checks(model, cases, smaller))
         assert fails > 0  # the calibrated value is tight up to bisection slack
 
     @pytest.mark.parametrize("y_scale", [0.0, 0.25])
@@ -315,7 +325,7 @@ class TestApriori:
         cons = desk_constants(model)
         rp = zero_lift(3.0, 0.0)
         traj = solver.solve_mild(model, np.ones(16) / 4.0, rp)
-        chk = att.apriori_bound(model, traj, rp, cons, 2.0)
+        chk = apriori(model, traj, rp, cons, 2.0)
         assert chk.passed
 
     def test_holds_at_fractional_times(self):
@@ -325,7 +335,7 @@ class TestApriori:
         rp = scaled_lift(2, 4.0, 0.0, steps=64)
         traj = solver.solve_mild(model, np.ones(16) / 4.0, rp)
         for t in (0.5, 1.25, 2.5):
-            assert att.apriori_bound(model, traj, rp, cons, t).passed
+            assert apriori(model, traj, rp, cons, t).passed
 
     def test_matches_per_window_reference(self):
         # P3 = rho^2 (1 + |y,y'|_D) of each unit window by holder_seminorm
@@ -333,7 +343,7 @@ class TestApriori:
         cons = att.BoundConstants.derive(model, m_big=1.0, **DESK)
         rp = scaled_lift(3, 5.0, -1.0, steps=64, scale=0.05)
         traj = solver.solve_mild(model, np.ones(16) / 4.0, rp.window(0.0, 4.0))
-        chk = att.apriori_bound(model, traj, rp, cons, 2.5)
+        chk = apriori(model, traj, rp, cons, 2.5)
         acc = 0.0
         for l in range(3):
             window = (float(l), float(l + 1))
@@ -352,7 +362,7 @@ class TestApriori:
         rp = zero_lift(2.0, 0.0)
         traj = solver.solve_mild(model, np.ones(8), rp)
         with pytest.raises(ConfigError):
-            att.apriori_bound(model, traj, rp, cons, 1.0)
+            apriori(model, traj, rp, cons, 1.0)
 
     def test_chain_bound_consistency_at_integer_times(self):
         model = SpectralModel(16, lambda_a=4.0, alpha=0.0, sigma_f=0.25,
@@ -366,9 +376,63 @@ class TestApriori:
         cal = att.calibrate_m_big(model, [(t, r, (0.0, 1.0)) for t, r in cases],
                                   cons, margin=0.1)
         for traj, rp in cases[:5]:
-            apr = att.apriori_bound(model, traj, rp, cal, 3.0)
+            apr = apriori(model, traj, rp, cal, 3.0)
             chain = att.discrete_chain_bound(model, traj, rp, cal, 3)
             assert apr.passed and chain.passed
+
+
+class TestValidateBounds:
+    @staticmethod
+    def cases(n=4):
+        # lifts over [0, 4], trajectories on [0, 3], as bounds validates
+        model = SpectralModel(16, lambda_a=4.0, alpha=0.0, sigma_f=0.25, c_f=0.5, c_g=5e-4)
+        cons = att.BoundConstants.derive(model, m_big=1.0, **DESK)
+        cases = []
+        for seed in range(n):
+            rp = scaled_lift(seed, 4.0, 0.0, steps=64)
+            cases.append((solver.solve_mild(model, np.ones(16) / (4.0 + seed), rp.window(0.0, 3.0)),
+                          rp))
+        return model, cons, cases
+
+    def test_one_norm_pass_matches_separate_checks(self, monkeypatch):
+        # the [0, 1] window that both checks read is measured once
+        model, cons, cases = self.cases()
+        unit = [(traj, rp, (0.0, 1.0)) for traj, rp in cases]
+        sols = att.validate_bounds(model, unit, [], cons)[0]
+        aprs = att.validate_bounds(model, [], cases, cons, 3.0)[1]
+        real, calls = solver._window_norm, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_window_norm", counted)
+        both = att.validate_bounds(model, unit, cases, cons, 3.0)
+        assert both == (sols, aprs) and len(calls) == 3 * len(cases)
+        assert [chk.lhs for chk in sols] == [solver.controlled_norm(model, *case).total
+                                             for case in unit]
+
+    def test_errors_in_checking_order(self):
+        model, cons, cases = self.cases(3)
+        traj, rp = cases[0]
+        short = (solver.solve_mild(model, np.ones(16) / 4.0, rp.window(0.0, 1.0)), rp)
+        coarse = (solver.solve_mild(model, np.ones(16) / 4.0, rpm.coarsen(rp, 2)), rp)
+        long = (traj, rp, (0.0, 2.0))
+        # each solution case's errors, a norm's before its window's, come
+        # before any a-priori case's
+        with pytest.raises(ValueError, match="outside the solved span"):
+            att.validate_bounds(model, [(*short, (1.0, 2.0)), long], [short], cons, 3.0)
+        with pytest.raises(ValueError, match="limited to length one"):
+            att.validate_bounds(model, [long, (*short, (1.0, 2.0))], [short], cons, 3.0)
+        # then the a-priori cases in order, whether a norm or a check before it fails
+        with pytest.raises(ValueError, match="share the grid step"):
+            att.validate_bounds(model, [], [cases[2], coarse, short], cons, 3.0)
+        with pytest.raises(ValueError, match=r"must be solved on \[0, 3\]"):
+            att.validate_bounds(model, [], [cases[2], short, coarse], cons, 3.0)
+        slow = SpectralModel(16, lambda_a=0.05, alpha=0.0, sigma_f=0.25, c_f=2.0)
+        with pytest.raises(ConfigError):
+            att.validate_bounds(model, [], cases,
+                                att.BoundConstants.derive(slow, m_big=0.1, **DESK), 3.0)
 
 
 def eval_h(rp, cons, interval):

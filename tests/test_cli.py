@@ -12,6 +12,9 @@ import pytest
 
 from rpde_lab import cli
 from rpde_lab.configio import load_kv_file, write_kv_file
+from rpde_lab.errors import NumericsError
+from rpde_lab.roughpath import GridRoughPath
+from rpde_lab.spectral import SpectralModel
 
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -363,6 +366,35 @@ class TestPipelines:
             assert (replay / name).read_bytes() == (out / name).read_bytes()
         assert (replay / "manifest.txt").exists()
 
+    def test_bounds_ignores_a_blow_up_after_the_checked_span(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # training seed 0's path jumps by 1e200 at t = 2.5: solved to the
+        # horizon it blows up there, and bounds exited 3 when it solved the
+        # training seeds that far. Calibration reads [0, 1] only, so bounds
+        # now exits 0 with the outputs of the path without the jump.
+        cfg = small_config(tmp_path, "bounds")
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+        real = cli.sample_lift
+
+        def jumpy(cfg_, seed, span, t_start, gamma):
+            rp = real(cfg_, seed, span, t_start, gamma)
+            if seed != 0:
+                return rp
+            x = rp.x_raw.copy()
+            x[rp.index(2.5):] += 1e200
+            return GridRoughPath(rp.t0, rp.dt, x, rp.xx, rp.gamma)
+
+        monkeypatch.setattr(cli, "sample_lift", jumpy)
+        exp = cli.load_experiment(str(cfg), {})
+        model = cli._build_model(exp)
+        with pytest.raises(NumericsError, match="blew up at t = 2.5"):
+            cli.solve_seeds(exp, model, 0.49, [0])
+        assert run(["--config", str(cfg), "--out", str(tmp_path / "jumpy")]) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("bounds.csv", "constants.csv"):
+            assert ((tmp_path / "jumpy" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes())
+
     def test_absorb_small(self, tmp_path):
         cfg = small_config(tmp_path, "absorb")
         assert run(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -450,3 +482,22 @@ class TestProcess:
         proc = python("-m", "rpde_lab.cli", "--config", str(cfg))
         assert proc.returncode == code
         assert [line for line in proc.stderr.splitlines() if line.startswith(prefix)]
+
+
+class TestSolveSpans:
+    @pytest.mark.parametrize("kind", ["linear", "integral"])
+    @pytest.mark.parametrize("hurst", [0.5, 0.75])
+    def test_end_solves_the_prefix_of_the_full_solve(self, kind, hurst):
+        cfg = dataclasses.replace(cli.ExperimentConfig(command="bounds"), hurst=hurst,
+                                  steps_per_unit=16, noise_scale=0.5)
+        model = SpectralModel(8, lambda_a=4.0, sigma_f=0.25, c_f=0.5, c_g=0.3, g_kind=kind)
+        full = cli.solve_seeds(cfg, model, 0.45, [3, 4, 5])
+        for end in (1.0, 3.0):
+            cut = int(end * cfg.steps_per_unit) + 1
+            for (traj, rp), (whole, whole_rp) in zip(cli.solve_seeds(cfg, model, 0.45, [3, 4, 5],
+                                                                     end=end), full):
+                # the lift is the one over [0, horizon]
+                assert np.array_equal(rp.x_raw, whole_rp.x_raw) and rp.n_cells == 64
+                assert np.array_equal(traj.times, whole.times[:cut])
+                assert np.array_equal(traj.y, whole.y[:cut])
+                assert np.array_equal(traj.y_prime, whole.y_prime[:cut])

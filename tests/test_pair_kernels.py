@@ -4,8 +4,10 @@ The square-block forms below are verbatim copies of controlled_norm,
 holder_seminorm and rough_metric as they were before the walk visited only
 the pairs i < j (names prefixed with square_), with the lag table of that
 time: each column block built every row of the window, and the pairs j <= i
-were divided by an infinite weight. The kernels must agree with them bit for
-bit.
+were divided by an infinite weight. percall_controlled_norm is a verbatim
+copy of controlled_norm as it was before controlled_norms, when each call
+gathered its pair values into arrays of its own. The kernels must agree with
+them bit for bit.
 """
 
 import dataclasses
@@ -16,9 +18,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from rpde_lab import roughpath as rpm
 from rpde_lab import solver
-from rpde_lab.roughpath import BLOCK, HolderReport, _lag_table, _prefix_sums, _window_arrays
+from rpde_lab.roughpath import (BLOCK, HolderReport, _lag_table, _pair_sups, _prefix_sums,
+                                _window_arrays)
 from rpde_lab.solver import ControlledNorm
-from rpde_lab.spectral import SpectralModel
+from rpde_lab.spectral import SpectralModel, aligned_empty
 
 # ---------------------------------------------------------------------------
 # reference: the square-block forms
@@ -122,6 +125,46 @@ def square_controlled_norm(model, path, rp, interval=None, alpha=None):
     return ControlledNorm(sup_y, sup_yp, hol_yp, rem_g, rem_2g)
 
 
+def percall_controlled_norm(model, path, rp, interval=None, alpha=None):
+    if alpha is None:
+        alpha = model.alpha
+    gamma = path.gamma
+    if interval is None:
+        lo, hi = 0, path.times.size - 1
+    else:
+        s, t = interval
+        lo = int(round((s - path.times[0]) / path.dt))
+        hi = int(round((t - path.times[0]) / path.dt))
+        if not (0 <= lo <= hi < path.times.size):
+            raise ValueError(f"interval {interval} outside the solved span")
+    if abs(path.dt - rp.dt) > 1e-12 * rp.dt:
+        raise ValueError("path and noise must share the grid step")
+    y = path.y[lo:hi + 1]
+    yp = path.y_prime[lo:hi + 1]
+    xvals = rp.x_raw[rp.index(path.times[lo]):rp.index(path.times[hi]) + 1]
+
+    sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
+    sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
+
+    # frac_norm_rows's weights of the remainder's two spaces
+    w_g, w_2g = (model.mu ** (2.0 * a) for a in (alpha - gamma, alpha - 2.0 * gamma))
+
+    def values(i, j):
+        # the remainder y_j - y_i - y'_i X[i, j], then y'_j - y'_i in its buffer;
+        # np.take gathers rows faster than indexing does
+        rem = np.take(y, j, axis=0) - np.take(y, i, axis=0)
+        ypi = np.take(yp, i, axis=0)
+        rem -= ypi * (xvals[j] - xvals[i])[..., None]
+        rem *= rem
+        norms = np.sqrt(rem @ w_g), np.sqrt(rem @ w_2g)
+        dyp = np.subtract(np.take(yp, j, axis=0), ypi, out=rem)
+        return model.frac_norm_rows(dyp, alpha - 2.0 * gamma), *norms
+
+    hol_yp, rem_g, rem_2g = _pair_sups(values, y.shape[0] - 1, path.dt,
+                                       (gamma, gamma, 2.0 * gamma))
+    return ControlledNorm(sup_y, sup_yp, hol_yp, rem_g, rem_2g)
+
+
 # ---------------------------------------------------------------------------
 
 WINDOWS = [1, 2, 63, 64, 65, 129, 130, 256]
@@ -212,3 +255,74 @@ class TestControlledNorm:
                     assert_same_fields(
                         solver.controlled_norm(model, traj, grid, interval, alpha=alpha),
                         square_controlled_norm(model, traj, grid, interval, alpha=alpha))
+
+
+class TestControlledNorms:
+    """controlled_norms against percall_controlled_norm, case by case."""
+
+    @staticmethod
+    def trajectories(kind, modes=16):
+        model = SpectralModel(modes, lambda_a=4.0, sigma_f=0.25, sigma_g=0.1, c_f=0.5,
+                              c_g=0.3, g_kind=kind)
+        rps = [noise(7), noise(8)]
+        paths = [solver.solve_mild(model, np.random.default_rng(r).standard_normal(modes), rp)
+                 for r, rp in enumerate(rps)]
+        return model, rps, paths
+
+    @pytest.mark.parametrize("kind", ["linear", "integral"])
+    def test_mixed_and_repeated_cases_match_per_call_norms(self, kind):
+        # windows of one to several tiles in an order that grows and shrinks,
+        # repeats of one window, and one window on both paths; one call
+        model, rps, paths = self.trajectories(kind)
+        dt = rps[0].dt
+        cases = []
+        for r, (lo, cells) in enumerate([(5, 64), (0, 1), (3, 129), (40, 63), (5, 64),
+                                         (0, 65), (200, 1), (17, 129), (3, 129), (0, 544)]):
+            p = r % 2 if cells != 129 else 0
+            interval = None if cells == 544 else (lo * dt, (lo + cells) * dt)
+            cases.append((paths[p], rps[p], interval))
+        cases.append((paths[1], rps[1], (5 * dt, 69 * dt)))
+        for alpha in (None, model.alpha - model.sigma_g):
+            got = solver.controlled_norms(model, cases, alpha)
+            assert len(got) == len(cases)
+            for norm, (path, rp, interval) in zip(got, cases):
+                assert_same_fields(norm, percall_controlled_norm(model, path, rp, interval, alpha))
+
+    @pytest.mark.parametrize("cells", [1, 63, 64, 65, 129])
+    def test_composition_pairs_of_one_length(self, cells):
+        # alpha one sigma_g lower, as composition_norm measures (G(y), DG(y)[G(y)])
+        model, rps, paths = self.trajectories("integral", modes=12)
+        dt = rps[0].dt
+        pairs = [solver.composition_pair(model, path) for path in paths]
+        cases = [(pair, rp, (lo * dt, (lo + cells) * dt))
+                 for lo in (0, 11, 300) for pair, rp in zip(pairs, rps)]
+        alpha = model.alpha - model.sigma_g
+        for norm, case in zip(solver.controlled_norms(model, cases, alpha), cases):
+            assert_same_fields(norm, percall_controlled_norm(model, *case, alpha))
+        assert_same_fields(solver.composition_norm(model, paths[0], rps[0], cases[0][2]),
+                           percall_controlled_norm(model, *cases[0], alpha))
+
+    def test_first_error_in_case_order(self):
+        model, rps, paths = self.trajectories("linear", modes=4)
+        good = (paths[0], rps[0], (0.0, 1.0))
+        outside = (paths[0], rps[0], (0.0, 9.0))
+        coarse = (paths[1], rpm.coarsen(rps[1], 4), (0.0, 1.0))
+        for cases, match, before in (([good, outside, coarse], "outside the solved span", 1),
+                                     ([good, good, coarse, outside], "share the grid step", 2)):
+            with pytest.raises(ValueError, match=match):
+                solver.controlled_norms(model, cases)
+            # the norms of the cases before the failing one come with its error
+            norms, error = solver._controlled_norms(model, cases)
+            assert len(norms) == before and match in str(error)
+            for norm in norms:
+                assert_same_fields(norm, percall_controlled_norm(model, *good))
+        assert solver.controlled_norms(model, []) == []
+
+    @pytest.mark.parametrize("shape", [(1,), (3, 5), (2080 * 16,), (2, 128, 128)])
+    def test_aligned_empty(self, shape):
+        for _ in range(4):
+            a = aligned_empty(shape)
+            assert a.shape == shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert a.ctypes.data % 64 == 0 and a.flags.writeable
+        work = SpectralModel(4, lambda_a=4.0, c_g=0.3, g_kind="integral").kernel_work()
+        assert work.ctypes.data % 64 == 0
