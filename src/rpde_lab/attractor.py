@@ -305,13 +305,13 @@ def p_values(n: int, sx: float, sxx: float, n_tilde: int, m_big: float,
     return p_tilde, p1, p2
 
 
-def _window_constants(constants: BoundConstants, windows) -> list:
-    """(N, [X], [XX]) of each (rough path, (s, t)) window, in window order.
+def _window_constants(constants: BoundConstants, windows) -> tuple:
+    """(N, [X], [XX]) of each (rough path, (s, t)) window before the first
+    that fails, in window order, and that window's error or None.
 
     A window has a positive length of at most one. The windows of one grid
     and cell count form one batch of greedy.window_constants, each distinct
-    (path, start) once. Errors come in window order, as one window at a time
-    raises them.
+    (path, start) once.
     """
     def place(window):  # (batch key, path, start)
         rp, (s, t) = window
@@ -328,27 +328,32 @@ def _window_constants(constants: BoundConstants, windows) -> list:
         paths = batches.setdefault(key, {})
         paths.setdefault(rp, len(paths))
     values = {}
-    try:
-        for key, paths in batches.items():
-            pairs = list(dict.fromkeys((paths[rp], i) for k, rp, i in where if k == key))
-            counts, sx, sxx = window_constants(list(paths), constants.eta, constants.chi,
-                                               pairs, key[-1])
-            values[key] = dict(zip(pairs, zip(counts, sx.tolist(), sxx.tolist())))
-    except NumericsError:
-        # batches do not know each other's order: rescan window by window
-        for key, rp, i in where:
-            window_constants([rp], constants.eta, constants.chi, [(0, i)], key[-1])
-        raise
-    if error is not None:
-        raise error
-    return [values[key][batches[key][rp], i] for key, rp, i in where]
+    for key, paths in batches.items():
+        pairs = list(dict.fromkeys((paths[rp], i) for k, rp, i in where if k == key))
+        counts, sx, sxx = window_constants(list(paths), constants.eta, constants.chi,
+                                           pairs, key[-1])
+        values[key] = dict(zip(pairs, zip(counts, sx.tolist(), sxx.tolist())))
+    out = [values[key][batches[key][rp], i] for key, rp, i in where]
+    # a window whose greedy scan got stuck holds the scan's error in place of N
+    bad = next((w for w, (n, _, _) in enumerate(out) if isinstance(n, NumericsError)), None)
+    return (out, error) if bad is None else (out[:bad], out[bad][0])
 
 
-def _window_p(constants: BoundConstants, windows) -> list:
-    """(N, [X], [XX], P1, P2) of each window of the list, at constants.m_big."""
+def _window_p(constants: BoundConstants, windows) -> tuple:
+    """(N, [X], [XX], P1, P2) of each window of the list, at constants.m_big,
+    before the first that fails, and that window's error or None."""
+    consts, error = _window_constants(constants, windows)
     return [(n, sx, sxx, *p_values(n, sx, sxx, window_blocks(t - s, constants.d_step),
                                    constants.m_big, constants.m_tilde)[1:])
-            for (n, sx, sxx), (_, (s, t)) in zip(_window_constants(constants, windows), windows)]
+            for (n, sx, sxx), (_, (s, t)) in zip(consts, windows)], error
+
+
+def _values(result):
+    """The values of a (values, error) pair; raises its error, if any."""
+    values, error = result
+    if error is not None:
+        raise error
+    return values
 
 
 @dataclass(frozen=True)
@@ -377,7 +382,7 @@ def _solution_cases(model: SpectralModel, cases, constants: BoundConstants,
     cases = list(cases)
     norms, error = norms or _controlled_norms(model, cases)
     solved = cases[:len(norms)]
-    consts = _window_constants(constants, [(rp, interval) for _, rp, interval in solved])
+    consts = _values(_window_constants(constants, [(rp, interval) for _, rp, interval in solved]))
     ynorms = [model.frac_norm(traj.y[_traj_index(traj, interval[0])], model.alpha)
               for traj, _, interval in solved]
     if error is not None:
@@ -514,7 +519,7 @@ def discrete_chain_bound(model: SpectralModel, traj: ControlledPath, rp: GridRou
     h1s = np.empty(n)
     h2s = np.empty(n)
     windows = [(rp, (float(j), float(j + 1))) for j in range(n)]
-    for j, (_, sx, sxx, p1, p2) in enumerate(_window_p(constants, windows)):
+    for j, (_, sx, sxx, p1, p2) in enumerate(_values(_window_p(constants, windows))):
         h1s[j], h2s[j] = h_values(constants, sx + sxx, p1, p2)
     lam = constants.lam
     y0 = model.frac_norm(traj.y[0], model.alpha)
@@ -648,7 +653,7 @@ def integrability_check(samples, constants: BoundConstants,
     core_vals, p1_vals, p2_vals = [], [], []
     windows = [(rp, (rp.t0 + j, rp.t0 + j + 1.0)) for rp in samples
                for j in range(_unit_windows(rp)[1])]
-    for n, sx, _, p1, p2 in _window_p(constants, windows):
+    for n, sx, _, p1, p2 in _values(_window_p(constants, windows)):
         core_vals.append(n * (1.0 + sx) * _exp_guard(n * constants.m_tilde))
         p1_vals.append(p1)
         p2_vals.append(p2)
@@ -779,7 +784,7 @@ def absorbing_radius(rp: GridRoughPath, constants: BoundConstants,
     """
     windows = _absorb_windows(rp, constants, truncation_k, eps_points)
     return _absorb_report(rp, constants, truncation_k, eps_points, ergodic,
-                          _window_p(constants, windows))
+                          _values(_window_p(constants, windows)))
 
 
 def _absorb_report(rp: GridRoughPath, constants: BoundConstants, truncation_k: int,
@@ -846,20 +851,21 @@ def absorbing_radii(model: SpectralModel, cases, constants: BoundConstants,
     its solve error, and both before anything of a later case.
     """
     cases = list(cases)
-    try:
-        windows = [_absorb_windows(rp, constants, truncation_k, eps_points) for rp, _ in cases]
-        consts = _window_p(constants, [w for case in windows for w in case])
-    except (NumericsError, ValueError):
-        # the batch does not know the order of cases: rerun case by case
-        reports, error = _until_error(
-            lambda case: absorbing_radius(case[0], constants, truncation_k, eps_points, ergodic),
-            cases, (NumericsError, ValueError))
-    else:
-        consts = iter(consts)  # each case takes the values of its windows in turn
-        reports, error = _until_error(
-            lambda item: _absorb_report(item[0][0], constants, truncation_k, eps_points, ergodic,
-                                        [next(consts) for _ in item[1]]),
-            zip(cases, windows), (NumericsError, ValueError))
+    windows, error = _until_error(
+        lambda case: _absorb_windows(case[0], constants, truncation_k, eps_points), cases)
+    values, window_error = _window_p(constants, [w for case in windows for w in case])
+
+    def in_turn():
+        # the cases take the values of their windows in turn; a case short of
+        # them meets the first failing window's error
+        yield from values
+        raise window_error
+
+    consts = in_turn()
+    reports, report_error = _until_error(
+        lambda case: _absorb_report(case[0], constants, truncation_k, eps_points, ergodic, consts),
+        cases[:len(windows)], (NumericsError, ValueError))
+    error = report_error or error
     solved = cases[:len(reports)]
     trajs = solve_many(model, [y0 for _, y0 in solved],
                        [rp.window(float(-truncation_k), 0.0) for rp, _ in solved])

@@ -370,7 +370,6 @@ def _cmd_solve(cfg: ExperimentConfig) -> None:
 
 
 def _bounds_task(cfg: ExperimentConfig, end: float, seeds) -> list:
-    # the model stays in the worker: an integral kernel's closures do not pickle
     return _solve_chunk(cfg, seeds, end)[1]
 
 

@@ -370,8 +370,8 @@ def window_constants(rps, eta: float, chi: float, windows, cells: int):
     reached in a later round stops in the first tile past chi or its path's
     end. Each count equals greedy_times(...).count and each seminorm
     holder_seminorm over the same window, bit for bit. A window whose scan
-    meets a cell above chi raises the scan's NumericsError, the first such
-    window in the order of windows. Returns the counts as a list and the
+    meets a cell above chi has, in place of its count, the NumericsError
+    that greedy_times raises on it. Returns the counts as a list and the
     seminorms as two arrays, aligned with windows.
     """
     rp, raw, xx, starts = _join_windows(rps, windows, cells)
@@ -410,10 +410,10 @@ def window_constants(rps, eta: float, chi: float, windows, cells: int):
         cur[walking] = np.minimum(nxt, end)[walking]
         counts[walking] += 1
         walking &= cur < end
-    if stuck.any():
-        bad = int(cur[np.argmax(stuck)])
-        raise _coarse_cell(rp, chi, bad % span, float(first[bad] ** g))
-    return counts.tolist(), sx[starts], sxx[starts]
+    counts = counts.tolist()
+    for w in np.flatnonzero(stuck).tolist():
+        counts[w] = _coarse_cell(rp, chi, int(cur[w]) % span, float(first[cur[w]] ** g))
+    return counts, sx[starts], sxx[starts]
 
 
 def control_w_all_pairs(rp: GridRoughPath, eta: float, interval=None) -> np.ndarray:

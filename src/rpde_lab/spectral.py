@@ -48,21 +48,6 @@ class SpectralState:
             raise ValueError("non-finite mode coefficients")
 
 
-class IntegralKernel:
-    """Smooth bounded kernel g(xi, v) and its first derivative d1 in v.
-
-    deriv_bound must be a finite bound for g and its derivatives in v; it
-    states the C^3_b assumption of the paper on the diffusion coefficient.
-    Configurations with an unbounded kernel derivative are rejected.
-    """
-
-    def __init__(self, g, d1, deriv_bound: float):
-        if not math.isfinite(deriv_bound):
-            raise ConfigError("integral kernel requires a finite derivative bound")
-        self.g, self.d1 = g, d1
-        self.deriv_bound = float(deriv_bound)
-
-
 def aligned_empty(shape) -> np.ndarray:
     """np.empty(shape) of float64 whose data starts on a 64-byte boundary.
 
@@ -74,25 +59,6 @@ def aligned_empty(shape) -> np.ndarray:
     raw = np.empty(8 * size + 64, dtype=np.uint8)
     start = -raw.ctypes.data % 64
     return raw[start:start + 8 * size].view(np.float64).reshape(shape)
-
-
-def _tanh_parts(c_g: float, xi):
-    """(c_g sin(pi xi), cos(pi xi)/2): scale and shift of the built-in kernel."""
-    return c_g * np.sin(np.pi * xi), 0.5 * np.cos(np.pi * xi)
-
-
-def _default_kernel(c_g: float) -> IntegralKernel:
-    # g(xi, v) = c_g sin(pi xi) tanh(v + cos(pi xi)/2); vanishes on the boundary
-    def g(xi, v):
-        scale, shift = _tanh_parts(c_g, xi)
-        return scale * np.tanh(v + shift)
-
-    def d1(xi, v):
-        scale, shift = _tanh_parts(c_g, xi)
-        t = np.tanh(v + shift)
-        return scale * (1.0 - t * t)
-
-    return IntegralKernel(g, d1, deriv_bound=2.0 * abs(c_g))
 
 
 def smoothing_constant(sigma: float, lam: float, mu1: float) -> float:
@@ -116,14 +82,13 @@ class SpectralModel:
     """Immutable diagonal model with coefficient configuration."""
 
     __slots__ = ("n_modes", "mu", "lambda_a", "alpha", "sigma_f", "sigma_g",
-                 "c_f", "c_g", "g_kind", "lap", "kernel", "_nodes", "_weights", "_basis",
+                 "c_f", "c_g", "g_kind", "lap", "_nodes", "_weights", "_basis",
                  "_f_scale", "_g_scale", "_k_scale", "_k_shift")
 
     def __init__(self, n_modes: int, lambda_a: float, alpha: float = 0.0,
                  sigma_f: float = 0.0, sigma_g: float = 0.0,
                  c_f: float = 0.0, c_g: float = 0.0, g_kind: str = "linear",
-                 mu=None, kernel: IntegralKernel | None = None,
-                 quad_points: int | None = None):
+                 mu=None, quad_points: int | None = None):
         if n_modes < 1:
             raise ConfigError("n_modes must be at least 1")
         if lambda_a <= 0:
@@ -163,24 +128,21 @@ class SpectralModel:
         self.lap.flags.writeable = False
         self._f_scale = self.c_f * self.mu ** self.sigma_f
         self._g_scale = self.c_g * self.lap ** self.sigma_g
-        self._k_scale = self._k_shift = None
         if g_kind == "integral":
-            self.kernel = kernel if kernel is not None else _default_kernel(self.c_g)
             nq = quad_points if quad_points is not None else max(128, 4 * self.n_modes)
             nodes, weights = np.polynomial.legendre.leggauss(nq)
             self._nodes = 0.5 * (nodes + 1.0)
             self._weights = 0.5 * weights
             k = np.arange(1, self.n_modes + 1, dtype=float)
             self._basis = np.sqrt(2.0) * np.sin(np.pi * np.outer(k, self._nodes))
-            if kernel is None:
-                # full (q, q) grids: contiguous operands run faster than broadcast columns
-                self._k_scale, self._k_shift = (
-                    np.repeat(part, nq, axis=1) for part in _tanh_parts(self.c_g, self._nodes[:, None]))
+            # the kernel g(xi, v) = c_g sin(pi xi) tanh(v + cos(pi xi)/2), which
+            # vanishes on the boundary, as scale and shift on full (q, q) grids:
+            # contiguous operands run faster than broadcast columns
+            xi = self._nodes[:, None]
+            self._k_scale = np.repeat(self.c_g * np.sin(np.pi * xi), nq, axis=1)
+            self._k_shift = np.repeat(0.5 * np.cos(np.pi * xi), nq, axis=1)
         else:
-            if kernel is not None:
-                raise ConfigError("kernel only applies to g_kind = integral")
-            self.kernel = None
-            self._nodes = self._weights = self._basis = None
+            self._nodes = self._weights = self._basis = self._k_scale = self._k_shift = None
 
     # -- spaces ---------------------------------------------------------
 
@@ -222,27 +184,20 @@ class SpectralModel:
     def _project(self, point_vals: np.ndarray) -> np.ndarray:
         return self._basis @ (self._weights * point_vals)
 
-    def _integral_values(self, fn, u: np.ndarray, h=None) -> np.ndarray:
-        """Evaluate xi_j -> int fn(xi_j, u(x)) [h(x)] dx on the nodes."""
-        vals = fn(self._nodes[:, None], u[None, :])
-        if h is not None:
-            vals = vals * h[None, :]
-        return vals @ self._weights
-
     def kernel_work(self) -> np.ndarray | None:
-        """Scratch for g_values / g_and_dg: the built-in kernel's grid and a work grid.
+        """Scratch for g_values / g_and_dg: the kernel's grid and a work grid.
 
-        Allocate it once per trajectory; None when no grid is reused (linear
-        model or custom kernel). It starts on a 64-byte boundary (aligned_empty):
-        the grid step ran about a fifth slower when it did not.
+        Allocate it once per trajectory; None for the linear model, which has
+        no grid. It starts on a 64-byte boundary (aligned_empty): the grid
+        step ran about a fifth slower when it did not.
         """
-        if self._k_scale is None:
+        if self.g_kind == "linear":
             return None
         q = self._nodes.size
         return aligned_empty((2, q, q))
 
     def _kernel_grid(self, u: np.ndarray, work: np.ndarray) -> np.ndarray:
-        # the built-in kernel's grid tanh(u(x_j) + cos(pi xi_i)/2) into work[0]
+        # the kernel's grid tanh(u(x_j) + cos(pi xi_i)/2) into work[0]
         np.add(u, self._k_shift, out=work[0])
         np.tanh(work[0], out=work[0])
         return work
@@ -250,18 +205,16 @@ class SpectralModel:
     def g_values(self, y: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
         """Diffusion coefficient G(y) of a coefficient array.
 
-        The built-in kernel leaves its tanh grid in work[0], where g_and_dg reuses it.
+        The integral diffusion leaves its tanh grid in work[0], where g_and_dg reuses it.
         """
         if self.g_kind == "linear":
             return self._g_scale * y
-        u = self._point_values(y)
-        if self._k_scale is None:
-            return self._project(self._integral_values(self.kernel.g, u))
-        grid, scratch = self._kernel_grid(u, work if work is not None else self.kernel_work())
+        grid, scratch = self._kernel_grid(self._point_values(y),
+                                          work if work is not None else self.kernel_work())
         return self._project(np.multiply(self._k_scale, grid, out=scratch) @ self._weights)
 
     def _dg_on_grid(self, work: np.ndarray, h: np.ndarray) -> np.ndarray:
-        # DG(y)[h] of the built-in kernel from the grid in work[0]
+        # DG(y)[h] of the integral diffusion from the grid in work[0]
         grid, scratch = work
         np.multiply(grid, grid, out=scratch)
         np.subtract(1.0, scratch, out=scratch)
@@ -269,36 +222,27 @@ class SpectralModel:
         scratch *= self._point_values(h)
         return self._project(scratch @ self._weights)
 
-    def _dg_values(self, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-        # Frechet derivative DG(y)[h] of coefficient arrays
-        if self.g_kind == "linear":
-            return self._g_scale * h
-        u = self._point_values(y)
-        if self._k_scale is None:
-            return self._project(self._integral_values(self.kernel.d1, u, self._point_values(h)))
-        return self._dg_on_grid(self._kernel_grid(u, self.kernel_work()), h)
-
     def g_and_dg(self, y: np.ndarray, work: np.ndarray | None = None):
         """(G(y), DG(y)[G(y)]): the two noise weights of one Euler step.
 
-        The built-in kernel evaluates its tanh grid once for both; the linear
-        model returns (scale y, scale G(y)).
+        The integral diffusion evaluates its tanh grid once for both; the
+        linear model returns (scale y, scale G(y)).
         """
+        if self.g_kind == "linear":
+            g = self._g_scale * y
+            return g, self._g_scale * g
         if work is None:
             work = self.kernel_work()
         g = self.g_values(y, work)
-        if work is None:
-            return g, self._dg_values(y, g)
         return g, self._dg_on_grid(work, g)
 
     def diffusion_key(self, y: np.ndarray) -> bytes:
         """Bytes that fix g_and_dg(y): rows with equal keys get the same pair bitwise.
 
         The integral diffusion reads y only through its point values u = y @ basis:
-        g_values builds its grid (or the custom kernel's values) from u, and
-        DG(y)[h] reads that grid and h = G(y), itself fixed by u. So the key is
-        the bytes of u, from the product g_values takes. The linear diffusion
-        reads y itself.
+        g_values builds its grid from u, and DG(y)[h] reads that grid and
+        h = G(y), itself fixed by u. So the key is the bytes of u, from the
+        product g_values takes. The linear diffusion reads y itself.
         """
         if self.g_kind == "linear":
             return y.tobytes()
@@ -311,8 +255,11 @@ class SpectralModel:
         return SpectralState(self.g_values(state.coeffs), state.alpha - self.sigma_g)
 
     def apply_dg(self, state: SpectralState, h: SpectralState) -> SpectralState:
-        """DG(state)[h]; the SpectralState form that perfbench traces by this name."""
-        return SpectralState(self._dg_values(state.coeffs, h.coeffs), state.alpha - self.sigma_g)
+        """Frechet derivative DG(state)[h]; perfbench traces it by this name."""
+        if self.g_kind == "linear":
+            return SpectralState(self._g_scale * h.coeffs, state.alpha - self.sigma_g)
+        work = self._kernel_grid(self._point_values(state.coeffs), self.kernel_work())
+        return SpectralState(self._dg_on_grid(work, h.coeffs), state.alpha - self.sigma_g)
 
     @property
     def c_g_bound(self) -> float:
@@ -320,12 +267,10 @@ class SpectralModel:
 
         For the diagonal fractional power the operator norm from index a to
         a - sigma_g is below |c_g| since the unshifted eigenvalues stay below
-        the shifted ones; for the integral operator the kernel's declared
-        derivative bound applies.
+        the shifted ones; the integral operator's kernel and its derivatives
+        in v stay below 2 |c_g|.
         """
-        if self.g_kind == "linear":
-            return abs(self.c_g)
-        return self.kernel.deriv_bound
+        return abs(self.c_g) if self.g_kind == "linear" else 2.0 * abs(self.c_g)
 
 
 def model_from_config(path: str) -> SpectralModel:

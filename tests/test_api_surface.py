@@ -21,6 +21,9 @@ KEEP = {
     "attractor.discrete_chain_bound": "chain form of the a-priori bound",
     "roughpath.rough_metric": "convergence of nested lifts",
     "roughpath.coarsen": "convergence of nested lifts; the coarse solver grid",
+    "roughpath.shift": "theta_r, the shift of the metric dynamical system, pinned by the "
+                       "cocycle tests",
+    "attractor.absorbing_radius": "traced by perfbench/launch.py",
     "spectral.SpectralModel.apply_f": "traced by perfbench/launch.py",
     "spectral.SpectralModel.apply_g": "traced by perfbench/launch.py",
     "spectral.SpectralModel.apply_dg": "traced by perfbench/launch.py",

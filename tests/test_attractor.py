@@ -64,9 +64,17 @@ def apriori(model, traj, rp, cons, t):
     return att.validate_bounds(model, [], [(traj, rp)], cons, t)[1][0]
 
 
+def window_constants(cons, windows):
+    """att._window_constants of the windows, raising the first failing one's error."""
+    values, error = att._window_constants(cons, windows)
+    if error is not None:
+        raise error
+    return values
+
+
 def window_p(rp, cons, interval):
     """(N, [X], [XX], P-tilde, P1, P2) of one interval by the batched pass."""
-    n, sx, sxx = att._window_constants(cons, [(rp, interval)])[0]
+    (n, sx, sxx), = window_constants(cons, [(rp, interval)])
     s, t = interval
     return (n, sx, sxx) + att.p_values(n, sx, sxx, att.window_blocks(t - s, cons.d_step),
                                        cons.m_big, cons.m_tilde)
@@ -163,9 +171,9 @@ class TestPConstants:
         cons = desk_constants(desk_model())
         rp = zero_lift(3.0, 0.0)
         with pytest.raises(ValueError, match="limited to length one"):
-            att._window_constants(cons, [(rp, (0.0, 1.0)), (rp, (0.0, 2.0))])
+            window_constants(cons, [(rp, (0.0, 1.0)), (rp, (0.0, 2.0))])
         with pytest.raises(ValueError, match="positive length"):
-            att._window_constants(cons, [(rp, (1.0, 1.0))])
+            window_constants(cons, [(rp, (1.0, 1.0))])
 
     def test_p1_monotone_in_chi(self):
         model = desk_model()
@@ -208,7 +216,7 @@ class TestWindowConstants:
     def test_matches_per_window_kernels_bitwise(self, cells):
         cons = desk_constants(desk_model())
         windows = mixed_windows(cells)
-        got = att._window_constants(cons, windows)
+        got = window_constants(cons, windows)
         want = [ref_window(rp, cons, interval)[:3] for rp, interval in windows]
         assert np.array_equal(np.array(got), np.array(want))
         assert cells < 63 or len({n for n, _, _ in want}) > 2
@@ -246,7 +254,11 @@ class TestWindowConstants:
                     for rp, interval in windows:
                         ref_window(rp, cons, interval)
                 else:
-                    att._window_constants(cons, windows)
+                    # the values of the windows before the failing one come with its error
+                    values, error = att._window_constants(cons, windows)
+                    assert values == [ref_window(rp, cons, interval)[:3]
+                                      for rp, interval in windows[:len(values)]]
+                    raise error
             return type(err.value), str(err.value), getattr(err.value, "context", None)
 
         for order in (windows[:2] + [(bad64, (-3.0, -2.0))] + windows[1:],
@@ -314,7 +326,7 @@ class TestSolutionBound:
             cases.append((solver.solve_mild(model, np.ones(16) / 4.0, rp), rp, (0.0, 1.0)))
         steep = rpm.lift_piecewise_linear(8.0 * np.arange(1025) / 1024, 0.0, 1.0 / 1024, gamma=0.49)
         traj = solver.solve_mild(model, np.full(16, y_scale), steep)
-        assert att._window_constants(cons, [(steep, (0.0, 1.0))])[0][0] == 1024
+        assert window_constants(cons, [(steep, (0.0, 1.0))])[0][0] == 1024
         cal = att.calibrate_m_big(model, cases + [(traj, steep, (0.0, 1.0))], cons, margin=0.1)
         assert cal.m_big == att.calibrate_m_big(model, cases, cons, margin=0.1).m_big
 
@@ -766,6 +778,31 @@ class TestAbsorbingRadii:
         series = str(series_error.value), series_error.value.context
         assert first_error([(growing, zero), (bad, zero)], weak_gap) == series
         assert "grid too coarse" in first_error([(bad, zero), (growing, zero)], weak_gap)[0]
+
+    def test_failing_batch_is_not_evaluated_again(self, monkeypatch):
+        # one greedy.window_constants call per batch key (grid and window
+        # length), for _window_constants and absorbing_radii alike, whichever
+        # window fails first
+        calls = []
+        batch = att.window_constants
+
+        def counting(rps, eta, chi, windows, cells):
+            calls.append((rps[0].dt, cells))
+            return batch(rps, eta, chi, windows, cells)
+
+        monkeypatch.setattr(att, "window_constants", counting)
+        cons = desk_constants(desk_model(c_g=5e-4))
+        good, bad32, bad64 = scaled_lift(4, 8.0, -7.0), jumpy_lift(), jumpy_lift(steps=64)
+        values, error = att._window_constants(
+            cons, [(good, (-1.0, 0.0)), (bad64, (-3.0, -2.0)), (bad32, (-6.0, -5.0)),
+                   (good, (-3.0, -2.5))])
+        assert len(values) == 1 and error.context["cell_left"] == -2.5
+        assert sorted(calls) == [(1 / 64, 64), (1 / 32, 16), (1 / 32, 32)]
+        calls.clear()
+        with pytest.raises(NumericsError, match="grid too coarse"):
+            att.absorbing_radii(desk_model(c_g=5e-4), [(good, np.zeros(16)), (bad32, np.zeros(16))],
+                                cons, truncation_k=6)
+        assert calls == [(1 / 32, 32)]
 
 def ref_pullback_estimate(model, ensemble, t_list, cloud):
     """The per-point solve_mild loop that the lockstep evolution replaced."""

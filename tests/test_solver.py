@@ -8,7 +8,7 @@ import pytest
 from rpde_lab import roughpath as rpm
 from rpde_lab import solver
 from rpde_lab.errors import NumericsError
-from rpde_lab.spectral import IntegralKernel, SpectralModel, SpectralState
+from rpde_lab.spectral import SpectralModel, SpectralState
 
 
 def brownian_lift(seed, n=256, gamma=0.5, scale=1.0, horizon=1.0, t0=0.0):
@@ -26,6 +26,22 @@ def solver_grid(rp, horizon=None, cells_per_step=1):
 def controlled(times, y_rows, yp_rows, gamma=0.5):
     return solver.ControlledPath(np.asarray(times), np.asarray(y_rows),
                                  np.asarray(yp_rows), gamma)
+
+
+def nan_g_model(monkeypatch, n):
+    """A one-mode integral model whose G is NaN once the state is small: its
+    kernel grid is NaN where max |u| falls below the threshold, zero elsewhere
+    (so G = DG = 0 there). Without noise y only decays from 1, and on n
+    cells of a unit window it first falls below the threshold on the last row."""
+    model = SpectralModel(1, lambda_a=1.0, g_kind="integral")
+    thr = np.sqrt(2.0) * np.exp(-model.mu[0] * 7.5 / n)
+
+    def grid(self, u, work):
+        work[0] = np.nan if np.abs(u).max() < thr else 0.0
+        return work
+
+    monkeypatch.setattr(SpectralModel, "_kernel_grid", grid)
+    return model
 
 
 def ref_solve_mild(model, y0, rp, horizon=None, cells_per_step=1):
@@ -214,20 +230,11 @@ class TestSolveMild:
             assert 0.0 < t_bad <= 1.0
         assert t_bad == rp.dt
 
-    def test_nonfinite_y_prime_is_a_numerics_error(self):
-        # without noise y only decays and stays finite; the kernel is NaN once
-        # the state is small, which first happens on the last row
+    def test_nonfinite_y_prime_is_a_numerics_error(self, monkeypatch):
+        # without noise y only decays and stays finite; G is NaN once the
+        # state is small, which first happens on the last row
         n = 8
-        thr = np.sqrt(2.0) * np.exp(-SpectralModel(1, lambda_a=1.0).mu[0] * 7.5 / n)
-
-        def g(xi, v):
-            return np.where(np.abs(v).max() < thr, np.nan, 0.0 * xi * v)
-
-        def zero(xi, v):
-            return 0.0 * xi * v
-
-        model = SpectralModel(1, lambda_a=1.0, g_kind="integral",
-                              kernel=IntegralKernel(g, zero, deriv_bound=1.0))
+        model = nan_g_model(monkeypatch, n)
         rp = rpm.lift_piecewise_linear(np.zeros(n + 1), 0.0, 1.0 / n)
         with pytest.raises(NumericsError, match="not finite") as err:
             solver.solve_mild(model, np.ones(1), rp)
@@ -355,21 +362,12 @@ class TestSolveMany:
             solver.solve_many(model, [ones, ones], [rp, other])
         assert err.value.context["t_bad"] == times[0]
 
-    def test_nonfinite_final_y_prime_row(self):
-        # the kernel of test_nonfinite_y_prime_is_a_numerics_error: G is NaN
+    def test_nonfinite_final_y_prime_row(self, monkeypatch):
+        # the model of test_nonfinite_y_prime_is_a_numerics_error: G is NaN
         # on the last row of the unit state only; the huge state blows up on
         # its first step
         n = 8
-        thr = np.sqrt(2.0) * np.exp(-SpectralModel(1, lambda_a=1.0).mu[0] * 7.5 / n)
-
-        def g(xi, v):
-            return np.where(np.abs(v).max() < thr, np.nan, 0.0 * xi * v)
-
-        def zero(xi, v):
-            return 0.0 * xi * v
-
-        model = SpectralModel(1, lambda_a=1.0, g_kind="integral",
-                              kernel=IntegralKernel(g, zero, deriv_bound=1.0))
+        model = nan_g_model(monkeypatch, n)
         rp = rpm.lift_piecewise_linear(np.zeros(n + 1), 0.0, 1.0 / n)
         ones, huge = np.ones(1), np.full(1, 1e151)
         with pytest.raises(NumericsError, match="not finite") as err:

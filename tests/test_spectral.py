@@ -1,11 +1,12 @@
 """Diagonal model: norms, semigroup, smoothing, drift and diffusion maps."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from rpde_lab.errors import ConfigError
-from rpde_lab.spectral import (IntegralKernel, SpectralModel, SpectralState, model_from_config,
-                                smoothing_constant)
+from rpde_lab.spectral import SpectralModel, SpectralState, model_from_config, smoothing_constant
 
 
 @pytest.fixture
@@ -180,20 +181,9 @@ class TestDiffusionIntegral:
         out = imodel.apply_g(state(imodel, np.zeros(10)))
         assert imodel.frac_norm(out, 0.0) > 0
 
-    def test_bounded_kernel_required(self):
-        bad = dict(g=lambda xi, v: v, d1=lambda xi, v: 1.0 + 0 * v)
-        with pytest.raises(ConfigError):
-            SpectralModel(6, lambda_a=1.0, g_kind="integral",
-                          kernel=IntegralKernel(**bad, deriv_bound=float("inf")))
-
-    def test_kernel_only_for_integral(self):
-        k = IntegralKernel(lambda xi, v: 0 * v, lambda xi, v: 0 * v, 1.0)
-        with pytest.raises(ConfigError):
-            SpectralModel(6, lambda_a=1.0, g_kind="linear", kernel=k)
-
 
 class TestFusedDiffusion:
-    """g_and_dg against apply_g then apply_dg, and the kernel grid against the kernel."""
+    """g_and_dg against apply_g then apply_dg, and the kernel grid against the kernel formula."""
 
     MODELS = {
         "integral": dict(n_modes=10, lambda_a=2.0, c_g=0.5, g_kind="integral"),
@@ -222,20 +212,35 @@ class TestFusedDiffusion:
             assert np.array_equal(m.g_values(y, work), g.coeffs)
 
     @pytest.mark.parametrize("name", ["integral", "integral_shifted"])
-    def test_grid_matches_kernel_functions(self, name):
-        # a custom kernel takes the kernel-function path; the built-in one the
-        # shared tanh grid, which must give the same bits
-        pairs = self.MODELS[name]
-        m = SpectralModel(**pairs)
-        custom = SpectralModel(**pairs, kernel=m.kernel)
-        assert m.kernel_work().shape == (2, 128, 128) and custom.kernel_work() is None
+    def test_grid_matches_kernel_formula(self, name):
+        # the shared tanh grid against the quadrature of the kernel
+        # g(xi, v) = c_g sin(pi xi) tanh(v + cos(pi xi)/2) and of its
+        # derivative in v, evaluated on broadcast node columns: the same bits
+        m = SpectralModel(**self.MODELS[name])
+        assert m.kernel_work().shape == (2, 128, 128)
+        assert m.c_g_bound == 2.0 * abs(m.c_g)
+        xi = m._nodes[:, None]
+        scale, shift = m.c_g * np.sin(np.pi * xi), 0.5 * np.cos(np.pi * xi)
         rng = np.random.default_rng(22)
         for y in self.states(m.n_modes):
             h = rng.standard_normal(m.n_modes)
-            for a, b in zip(m.g_and_dg(y), custom.g_and_dg(y)):
-                assert np.array_equal(a, b)
+            t = np.tanh((y @ m._basis)[None, :] + shift)
+            g = m._basis @ (m._weights * ((scale * t) @ m._weights))
+            dg_h = (scale * (1.0 - t * t)) * (h @ m._basis)[None, :]
+            dg_g = (scale * (1.0 - t * t)) * (g @ m._basis)[None, :]
+            assert np.array_equal(m.g_values(y), g)
+            assert np.array_equal(m.g_and_dg(y)[1], m._basis @ (m._weights * (dg_g @ m._weights)))
             assert np.array_equal(m.apply_dg(state(m, y), state(m, h)).coeffs,
-                                  custom.apply_dg(state(custom, y), state(custom, h)).coeffs)
+                                  m._basis @ (m._weights * (dg_h @ m._weights)))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_model_pickles(self, name):
+        # a model can go to a worker process: its copy gives the same bits
+        m = SpectralModel(**self.MODELS[name])
+        copy = pickle.loads(pickle.dumps(m))
+        for y in self.states(m.n_modes):
+            for a, b in zip(m.g_and_dg(y), copy.g_and_dg(y)):
+                assert np.array_equal(a, b)
 
 
 class TestConfigFile:
