@@ -45,7 +45,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericsError
-from .roughpath import (BLOCK, GridRoughPath, _chen_pairs, _fold_sups, _join_windows, _lag_table,
+from .roughpath import (BLOCK, GridRoughPath, _chen_pairs, _join_windows, _lag_table,
                         _prefix_sums, _rows_per_call, _seminorm_values, _triangle)
 
 # margins of the far-block bound of _control_dp: relative, over the rounding of
@@ -290,6 +290,21 @@ def _dp_pairs(cells: int) -> int:
                for k0 in range(1, cells + 1, BLOCK) for b in [min(BLOCK, cells + 1 - k0)])
 
 
+def _fold_pairs(q: np.ndarray) -> np.ndarray:
+    """np.fmax.reduce of the C-contiguous q over its leading (pair) axes, the
+    trailing (batch) axis kept: the pair rows are halved in place, the later
+    half folded into the first by one fmax over contiguous memory per step,
+    where a reduction over the pair axis would stride by the batch. fmax does
+    not round, so the result is the reduction's bit for bit."""
+    q = q.reshape(-1, q.shape[-1])
+    n = q.shape[0]
+    while n > 1:
+        h = n // 2
+        np.fmax(q[:h], q[n - h:n], out=q[:h])
+        n -= h
+    return q[0]
+
+
 def _step_lengths(raw: np.ndarray, xx: np.ndarray, dt: float, eta: float, g: float,
                   chi: float, room, tables=None):
     """Greedy step length from the first point of each window of the batch
@@ -310,7 +325,13 @@ def _step_lengths(raw: np.ndarray, xx: np.ndarray, dt: float, eta: float, g: flo
     room[b] (a step of room[b] or more cells may be longer). With tables,
     the lag tables of [X] and [XX], every row is built across its whole
     window: its pairs are all the window's pairs, and their |X| and |XX|,
-    before they are raised to costs, fold the seminorms as _pair_sups does.
+    before they are raised to costs, fold the seminorms. Fold order: each
+    tile's values are divided by their lag weights in the (pairs, batch)
+    layout they are built in, reduced over the pairs by halving
+    (_fold_pairs: the later half of the pair rows fmax-ed into the first,
+    contiguous, until one row is left), and that row is fmax-ed into the
+    running seminorms, the triangle's before the square's. A maximum does
+    not round, so each seminorm is _pair_sups' (holder_seminorm) bit for bit.
     Returns (lengths, dp, [[X], [XX]]), the seminorms None without tables.
     """
     cells = raw.shape[-1] - 1
@@ -326,7 +347,8 @@ def _step_lengths(raw: np.ndarray, xx: np.ndarray, dt: float, eta: float, g: flo
         lag = j - i
         ax, axx = values(i, j)
         if sups is not None:
-            _fold_sups(sups, (np.moveaxis(ax, -1, 0), np.moveaxis(axx, -1, 0)), lag, tables)
+            for k, (vals, table) in enumerate(zip((ax, axx), tables)):
+                sups[k] = np.fmax(sups[k], _fold_pairs(vals / table[lag][..., None]))
         cost = np.power(ax, p1, out=ax)
         cost += np.power(axx, p2, out=axx)
         if w is not None:

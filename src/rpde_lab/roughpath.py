@@ -285,22 +285,33 @@ def _triangle(b: int):
     return rows, cols
 
 
+@functools.lru_cache(maxsize=4 * BLOCK)
+def _triangle_weights(b: int, dt: float, p: float) -> np.ndarray:
+    """The lag weights (lag * dt) ** p of the pairs of _triangle(b), in its
+    packed order: the gather of _lag_table that every tile of b columns
+    shares, whatever the window. Built once per (b, dt, p), read-only."""
+    rows, cols = _triangle(b)
+    weights = _lag_table(b, dt, p)[cols - rows]
+    weights.flags.writeable = False
+    return weights
+
+
 def _rows_per_call(pairs: int) -> int:
     """Windows or DP rows per call of a batched kernel whose largest array of
     pair values holds pairs entries per row: PAIR_BYTES of float64."""
     return max(1, PAIR_BYTES // (8 * pairs))
 
 
-def _fold_sups(best: list, values, lag, tables) -> None:
-    """best[k] = fmax(best[k], sup of values[k] / tables[k][lag]) over the
-    pair axes, the trailing lag.ndim axes of values[k]; leading axes index a
-    batch of windows. A correctly rounded division is monotone, so the sup
-    over the pairs of a lag is the lag's largest value over its weight, and
-    fmax does not round: the result does not depend on how the pairs are
-    grouped, bit for bit."""
-    pair_axes = tuple(range(-lag.ndim, 0))
-    for k, (vals, table) in enumerate(zip(values, tables)):
-        best[k] = np.fmax(best[k], np.fmax.reduce(vals / table[lag], axis=pair_axes))
+def _fold_sups(best: list, values, weights) -> None:
+    """best[k] = fmax(best[k], sup of values[k] / weights[k]) over the pair
+    axes, the trailing weights[k].ndim axes of values[k], with weights[k] the
+    lag weight of each pair; leading axes index a batch of windows. A
+    correctly rounded division is monotone, so the sup over the pairs of a
+    lag is the lag's largest value over its weight, and fmax does not round:
+    the result does not depend on how the pairs are grouped, bit for bit."""
+    for k, (vals, weight) in enumerate(zip(values, weights)):
+        pair_axes = tuple(range(-weight.ndim, 0))
+        best[k] = np.fmax(best[k], np.fmax.reduce(vals / weight, axis=pair_axes))
 
 
 def _pair_sups(values, m: int, dt: float, exponents) -> list:
@@ -317,20 +328,19 @@ def _pair_sups(values, m: int, dt: float, exponents) -> list:
     BLOCK cells is one triangle, and memory is O(BLOCK^2) per window whatever
     m. Each lag weight is evaluated once, by Python's scalar pow, and each
     pair reads it by its lag (_fold_sups): the result equals the lag-by-lag
-    supremum bit for bit.
+    supremum bit for bit. A triangle's weights are gathered once per tile
+    size (_triangle_weights), those of a square once per square.
     """
     tables = [_lag_table(m, dt, p) for p in exponents]
     best = [0.0] * len(tables)
-
-    def fold(i, j):
-        _fold_sups(best, values(i, j), j - i, tables)
-
     for c0 in range(1, m + 1, BLOCK):
         c1 = min(c0 + BLOCK, m + 1)
         rows, cols = _triangle(c1 - c0)
-        fold(rows + (c0 - 1), cols + (c0 - 1))
+        _fold_sups(best, values(rows + (c0 - 1), cols + (c0 - 1)),
+                   [_triangle_weights(c1 - c0, dt, p) for p in exponents])
         for r0 in range(0, c0 - 1, BLOCK):
-            fold(np.arange(r0, r0 + BLOCK)[:, None], np.arange(c0, c1)[None])
+            i, j = np.arange(r0, r0 + BLOCK)[:, None], np.arange(c0, c1)[None]
+            _fold_sups(best, values(i, j), [table[j - i] for table in tables])
     return [b if np.ndim(b) else float(b) for b in best]
 
 

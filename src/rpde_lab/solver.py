@@ -43,7 +43,15 @@ grid. Every final state is bitwise the one solve_mild reaches.
 controlled_norms measures a list of (trajectory, rough path, interval)
 cases, each distinct one once, and builds the pair values of every case and
 tile in one 64-byte-aligned workspace per call; controlled_norm is its
-one-case call.
+one-case call. The pair values come from copies of each window's y and y'
+in which every entry below min(2 ** -300, 2 ** -200 M) in magnitude is 0, M
+the largest |entry| of that array on the window (_flushed): the high modes
+decay into subnormal numbers, whose arithmetic takes the CPU's slow path,
+and a flushed entry moves a pair's squared sum by less than about 2 ** -190
+of the window's largest squared entry, far below half an ulp of any
+supremal sum, so every norm is bitwise the unflushed one. The absolute cap
+keeps a huge constant mode from flushing the modes that carry the
+increments, as a purely relative threshold would.
 """
 
 from __future__ import annotations
@@ -132,6 +140,15 @@ def rough_convolution(model: SpectralModel, z: ControlledPath, rp: GridRoughPath
 
 
 _BLOW_CAP = 1e150  # declare divergence before overflow pollutes the maps
+# flush threshold of a controlled norm's rows (_flushed): an entry of the
+# window's y or y' below min(_FLUSH_ABS, _FLUSH_REL * M) in magnitude, M the
+# largest of that array on the window, is 0 in the pair values. A kept entry
+# is at least 2 ** -300 (or 2 ** -200 M), so the remainders, their squares
+# and the weighted sums stay off the subnormal slow path; the absolute cap
+# keeps a huge constant mode, which cancels from every increment, from
+# flushing the modes that carry the increments.
+_FLUSH_ABS = 2.0 ** -300
+_FLUSH_REL = 2.0 ** -200
 
 
 def _initial_coeffs(model: SpectralModel, y0) -> np.ndarray:
@@ -370,22 +387,34 @@ def _controlled_norms(model: SpectralModel, cases, alpha: float | None = None):
     # three buffers of the largest tile's pair values, each row 64-byte aligned
     pairs = max(_tile_pairs(hi - lo) for _, lo, hi, _ in windows.values())
     bufs = aligned_empty((3, -(-pairs * model.n_modes // 8) * 8))
+    # frac_norm_rows's weights of the remainder's two spaces, once per gamma;
+    # y'_j - y'_i is measured in the second
+    spaces = {}
+    for path, _, _, _ in windows.values():
+        if path.gamma not in spaces:
+            spaces[path.gamma] = tuple(model.mu ** (2.0 * a)
+                                       for a in (alpha - path.gamma, alpha - 2.0 * path.gamma))
     norms = {key: _window_norm(model, alpha, path.y[lo:hi + 1], path.y_prime[lo:hi + 1], xvals,
-                               path.gamma, path.dt, bufs)
+                               path.gamma, path.dt, spaces[path.gamma], bufs)
              for key, (path, lo, hi, xvals) in windows.items()}
     return [norms[key] for key in keys], error
 
 
-def _window_norm(model: SpectralModel, alpha: float, y: np.ndarray, yp: np.ndarray,
-                 xvals: np.ndarray, gamma: float, dt: float, bufs) -> ControlledNorm:
-    """controlled_norm of the rows y, y' over the window with first-level values
-    xvals, its pair values built in the three rows of bufs."""
-    sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
-    sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
+def _flushed(rows: np.ndarray) -> np.ndarray:
+    """A copy of rows with every entry below min(_FLUSH_ABS, _FLUSH_REL * M)
+    in magnitude set to 0, M the largest magnitude in rows."""
+    mag = np.abs(rows)
+    out = rows.copy()
+    out[mag < min(_FLUSH_ABS, _FLUSH_REL * float(mag.max()))] = 0.0
+    return out
 
-    # frac_norm_rows's weights of the remainder's two spaces; y'_j - y'_i is
-    # measured in the second
-    w_g, w_2g = (model.mu ** (2.0 * a) for a in (alpha - gamma, alpha - 2.0 * gamma))
+
+def _pair_values(y: np.ndarray, yp: np.ndarray, xvals: np.ndarray, weights, bufs):
+    """values(i, j) of _pair_sups for |y'_j - y'_i| and the remainder's norms
+    in its two spaces (weights, frac_norm_rows's weight vectors), gathered
+    and computed in the three rows of bufs. After a call, bufs[0] holds the
+    squared remainders of its pairs and bufs[1] the squared increments of y'."""
+    w_g, w_2g = weights
     modes = y.shape[1]
 
     def take(a, idx, buf):
@@ -395,7 +424,7 @@ def _window_norm(model: SpectralModel, alpha: float, y: np.ndarray, yp: np.ndarr
                        mode="clip")
 
     def values(i, j):
-        # the remainder y_j - y_i - y'_i X[i, j] in rem, then y'_j - y'_i in its place
+        # the remainder y_j - y_i - y'_i X[i, j] in rem, then y'_j - y'_i in tmp
         shape = np.broadcast_shapes(i.shape, j.shape) + (modes,)
         rem, tmp = (buf[:math.prod(shape)].reshape(shape) for buf in bufs[:2])
         np.subtract(take(y, j, bufs[1]), take(y, i, bufs[2]), out=rem)
@@ -403,9 +432,20 @@ def _window_norm(model: SpectralModel, alpha: float, y: np.ndarray, yp: np.ndarr
         rem -= np.multiply(ypi, (xvals[j] - xvals[i])[..., None], out=tmp)
         rem *= rem
         norms = np.sqrt(rem @ w_g), np.sqrt(rem @ w_2g)
-        dyp = np.subtract(take(yp, j, bufs[1]), ypi, out=rem)
+        dyp = np.subtract(take(yp, j, bufs[1]), ypi, out=tmp)
         return np.sqrt(np.multiply(dyp, dyp, out=dyp) @ w_2g), *norms
 
+    return values
+
+
+def _window_norm(model: SpectralModel, alpha: float, y: np.ndarray, yp: np.ndarray,
+                 xvals: np.ndarray, gamma: float, dt: float, weights, bufs) -> ControlledNorm:
+    """controlled_norm of the rows y, y' over the window with first-level values
+    xvals, its pair values built from the flushed rows (_flushed) in the three
+    rows of bufs; weights are the remainder's two weight vectors."""
+    sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
+    sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
+    values = _pair_values(_flushed(y), _flushed(yp), xvals, weights, bufs)
     hol_yp, rem_g, rem_2g = _pair_sups(values, y.shape[0] - 1, dt, (gamma, gamma, 2.0 * gamma))
     return ControlledNorm(sup_y, sup_yp, hol_yp, rem_g, rem_2g)
 

@@ -674,6 +674,33 @@ class TestWindowConstants:
         assert np.array_equal(np.array(list(zip(counts, sx, sxx))), np.array(want))
         assert cells < 31 or len({n for n, _, _ in want}) > 1
 
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7, 31])
+    @pytest.mark.parametrize("cells", [32, 64])
+    def test_seminorm_fold_in_batches(self, cells, batch, monkeypatch):
+        # absorb-shaped (32-cell) and bounds-shaped (64-cell) windows whose
+        # first-round DP rows go batch at a time, the last call one row, so
+        # that odd batch widths and the triangle's and squares' pair counts
+        # exercise the halving of _fold_pairs
+        rps = stack_of_paths(cells)
+        windows = [(p, a) for a in range(61) for p in range(3)][:2 * batch + 1]
+        widths = []
+        step_lengths = greedy._step_lengths
+
+        def recording(raw, *args):
+            if args[-1] is not None:
+                widths.append(raw.shape[0])
+            return step_lengths(raw, *args)
+
+        monkeypatch.setattr(greedy, "_rows_per_call", lambda pairs: batch)
+        monkeypatch.setattr(greedy, "_step_lengths", recording)
+        counts, sx, sxx = greedy.window_constants(rps, 0.05, 0.3, windows, cells)
+        assert widths == [batch, batch, 1]
+        for n, x, xx, (p, a) in zip(counts, sx.tolist(), sxx.tolist(), windows):
+            interval = (rps[p].t0 + a * rps[p].dt, rps[p].t0 + (a + cells) * rps[p].dt)
+            rep = rpm.holder_seminorm(rps[p], interval)
+            assert (x, xx) == (rep.seminorm_x, rep.seminorm_xx)
+            assert n == greedy.greedy_times(rps[p], 0.05, 0.3, interval).count
+
     @pytest.mark.parametrize("eta", [0.0, 0.05])
     @pytest.mark.parametrize("cells", FUSED_CELLS)
     def test_dp_rows_match_full_square(self, cells, eta):

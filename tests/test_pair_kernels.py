@@ -6,20 +6,25 @@ the pairs i < j (names prefixed with square_), with the lag table of that
 time: each column block built every row of the window, and the pairs j <= i
 were divided by an infinite weight. percall_controlled_norm is a verbatim
 copy of controlled_norm as it was before controlled_norms, when each call
-gathered its pair values into arrays of its own. The kernels must agree with
-them bit for bit.
+gathered its pair values into arrays of its own. unflushed_window_norm is a
+verbatim copy of solver._window_norm as it was before it flushed negligible
+entries of y and y' (solver._flushed), with the weight vectors computed per
+window. The kernels must agree with them bit for bit.
 """
 
 import dataclasses
+import functools
+import math
+import pathlib
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from rpde_lab import cli, solver
 from rpde_lab import roughpath as rpm
-from rpde_lab import solver
 from rpde_lab.roughpath import (BLOCK, HolderReport, _lag_table, _pair_sups, _prefix_sums,
-                                _window_arrays)
+                                _triangle, _window_arrays)
 from rpde_lab.solver import ControlledNorm
 from rpde_lab.spectral import SpectralModel, aligned_empty
 
@@ -163,6 +168,46 @@ def percall_controlled_norm(model, path, rp, interval=None, alpha=None):
     hol_yp, rem_g, rem_2g = _pair_sups(values, y.shape[0] - 1, path.dt,
                                        (gamma, gamma, 2.0 * gamma))
     return ControlledNorm(sup_y, sup_yp, hol_yp, rem_g, rem_2g)
+
+
+def unflushed_window_norm(model, alpha, y, yp, xvals, gamma, dt, bufs):
+    """controlled_norm of the rows y, y' over the window with first-level values
+    xvals, its pair values built in the three rows of bufs."""
+    sup_y = float(np.max(model.frac_norm_rows(y, alpha)))
+    sup_yp = float(np.max(model.frac_norm_rows(yp, alpha - gamma)))
+
+    # frac_norm_rows's weights of the remainder's two spaces; y'_j - y'_i is
+    # measured in the second
+    w_g, w_2g = (model.mu ** (2.0 * a) for a in (alpha - gamma, alpha - 2.0 * gamma))
+    modes = y.shape[1]
+
+    def take(a, idx, buf):
+        # numpy gathers into out through a buffer of its own unless mode is "clip";
+        # the indices of _pair_sups lie in range
+        return np.take(a, idx, axis=0, out=buf[:idx.size * modes].reshape(idx.shape + (modes,)),
+                       mode="clip")
+
+    def values(i, j):
+        # the remainder y_j - y_i - y'_i X[i, j] in rem, then y'_j - y'_i in its place
+        shape = np.broadcast_shapes(i.shape, j.shape) + (modes,)
+        rem, tmp = (buf[:math.prod(shape)].reshape(shape) for buf in bufs[:2])
+        np.subtract(take(y, j, bufs[1]), take(y, i, bufs[2]), out=rem)
+        ypi = take(yp, i, bufs[2])
+        rem -= np.multiply(ypi, (xvals[j] - xvals[i])[..., None], out=tmp)
+        rem *= rem
+        norms = np.sqrt(rem @ w_g), np.sqrt(rem @ w_2g)
+        dyp = np.subtract(take(yp, j, bufs[1]), ypi, out=rem)
+        return np.sqrt(np.multiply(dyp, dyp, out=dyp) @ w_2g), *norms
+
+    hol_yp, rem_g, rem_2g = _pair_sups(values, y.shape[0] - 1, dt, (gamma, gamma, 2.0 * gamma))
+    return ControlledNorm(sup_y, sup_yp, hol_yp, rem_g, rem_2g)
+
+
+def unflushed_controlled_norm(model, path, rp, interval):
+    lo, hi, xvals = solver._norm_window(path, rp, interval)
+    bufs = aligned_empty((3, solver._tile_pairs(hi - lo) * model.n_modes))
+    return unflushed_window_norm(model, model.alpha, path.y[lo:hi + 1], path.y_prime[lo:hi + 1],
+                                 xvals, path.gamma, path.dt, bufs)
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +371,92 @@ class TestControlledNorms:
             assert a.ctypes.data % 64 == 0 and a.flags.writeable
         work = SpectralModel(4, lambda_a=4.0, c_g=0.3, g_kind="integral").kernel_work()
         assert work.ctypes.data % 64 == 0
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@functools.lru_cache(maxsize=1)
+def bounds_fixture():
+    """The model of perfbench/configs/bounds.txt and its 40 training seeds solved
+    to t = 3: the [0, 1] windows bounds trains on and the [1, 2] and [2, 3]
+    windows its a-priori check reads. The high modes decay into subnormals."""
+    cfg = cli.load_experiment(str(ROOT / "perfbench" / "configs" / "bounds.txt"), {})
+    model = cli._build_model(cfg)
+    gamma = cli._build_constants(cfg, model).gamma
+    return model, cli.solve_seeds(cfg, model, gamma, range(cfg.train_seeds), 3.0)
+
+
+def scaled(path, factor):
+    return solver.ControlledPath(path.times, path.y * factor, path.y_prime * factor, path.gamma)
+
+
+def is_subnormal(a):
+    return (a != 0) & (np.abs(a) < np.finfo(float).tiny)
+
+
+class TestFlushedNorms:
+    """controlled_norms, whose pair values come from flushed rows, against
+    unflushed_window_norm, case by case and bit for bit."""
+
+    @staticmethod
+    def assert_unflushed(model, cases):
+        for norm, case in zip(solver.controlled_norms(model, cases), cases):
+            assert_same_fields(norm, unflushed_controlled_norm(model, *case))
+
+    def test_bounds_windows(self):
+        model, solved = bounds_fixture()
+        for factor in (1.0, 2.0 ** -900):
+            cases = [(scaled(path, factor), rp, (float(l), float(l + 1)))
+                     for path, rp in solved for l in range(3)]
+            self.assert_unflushed(model, cases)
+
+    def test_integral_model(self):
+        model, rps, paths = TestControlledNorms.trajectories("integral")
+        dt = rps[0].dt
+        for factor in (1.0, 2.0 ** -900):
+            cases = [(scaled(path, factor), rp, (lo * dt, (lo + cells) * dt))
+                     for path, rp in zip(paths, rps) for lo, cells in ((0, 64), (100, 129))]
+            self.assert_unflushed(model, cases + [(scaled(paths[0], factor), rps[0], None)])
+
+    def test_all_zero_trajectory(self):
+        model, solved = bounds_fixture()
+        path, rp = solved[0]
+        self.assert_unflushed(model, [(scaled(path, 0.0), rp, (0.0, 1.0))])
+
+    def test_huge_constant_mode(self, monkeypatch):
+        # mode 1 held at 1e150 with y'_1 = 0 cancels from every increment; a
+        # purely relative threshold (2 ** -200 of the largest entry, about
+        # 6e89) flushes the modes that carry the increments and moves rem_g,
+        # the absolute cap 2 ** -300 keeps them
+        model, solved = bounds_fixture()
+        path, rp = solved[0]
+        y, yp = path.y.copy(), path.y_prime.copy()
+        y[:, 0], yp[:, 0] = 1e150, 0.0
+        case = (solver.ControlledPath(path.times, y, yp, path.gamma), rp, (0.0, 1.0))
+        want = unflushed_controlled_norm(model, *case)
+        self.assert_unflushed(model, [case])
+        monkeypatch.setattr(solver, "_FLUSH_ABS", math.inf)
+        relative = solver.controlled_norm(model, *case)
+        assert relative.rem_g < 1e-3 * want.rem_g
+
+    def test_no_subnormal_pair_values(self):
+        # the slow path of subnormal arithmetic: the flushed rows and the
+        # squared remainders and y' increments one values call leaves in the
+        # pair buffers hold none, where the unflushed rows hold many
+        model, solved = bounds_fixture()
+        rows, cols = _triangle(BLOCK)
+        bufs = aligned_empty((3, rows.size * model.n_modes))
+        gamma = solved[0][0].gamma
+        weights = [model.mu ** (2.0 * a) for a in (model.alpha - gamma, model.alpha - 2 * gamma)]
+        seen = 0
+        for path, rp in solved:
+            for l in range(3):
+                lo, hi, xvals = solver._norm_window(path, rp, (float(l), float(l + 1)))
+                y, yp = path.y[lo:hi + 1], path.y_prime[lo:hi + 1]
+                seen += int(is_subnormal(y).sum())
+                fy, fyp = solver._flushed(y), solver._flushed(yp)
+                assert not is_subnormal(fy).any() and not is_subnormal(fyp).any()
+                solver._pair_values(fy, fyp, xvals, weights, bufs)(rows, cols)
+                assert not is_subnormal(bufs).any()
+        assert seen > 1000
