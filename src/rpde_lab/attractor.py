@@ -637,7 +637,6 @@ class IntegrabilityReport:
     lp_p1: dict
     lp_p2: dict
     stability: dict  # even-window / odd-window split-half ratio per order
-    n_windows: int
 
 
 def integrability_check(samples, constants: BoundConstants,
@@ -672,8 +671,7 @@ def integrability_check(samples, constants: BoundConstants,
     total = p1 + p2
     stability = {p: lp(total[0::2], p) / max(lp(total[1::2], p), 1e-300)
                  for p in orders}
-    return IntegrabilityReport(tuple(orders), lp_core, lp_p1, lp_p2,
-                               stability, p1.size)
+    return IntegrabilityReport(tuple(orders), lp_core, lp_p1, lp_p2, stability)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +685,6 @@ class GapReport:
     passed: bool
     lhs: float
     rhs: float
-    beta: float | None = None
     passed_shifted: bool | None = None
     lhs_shifted: float | None = None
     rhs_shifted: float | None = None
@@ -723,7 +720,7 @@ def check_gap_condition(constants: BoundConstants, ergodic: ErgodicReport,
         * math.exp(constants.lambda_a) * min(constants.l_tilde, m_beta_b / 2.0)
     c_b = constants.c_of_n * max(constants.m_tilde, c_tilde_1b * constants.c_g)
     rhs_b = c_b * (k_bold + 1.0)
-    return replace(report, beta=beta, passed_shifted=lhs_b > rhs_b,
+    return replace(report, passed_shifted=lhs_b > rhs_b,
                    lhs_shifted=lhs_b, rhs_shifted=rhs_b)
 
 
@@ -737,12 +734,9 @@ class AbsorbReport:
 
     radius: float
     r_value: float
-    series_terms: np.ndarray
-    truncation_k: int
     p1_val: float
     p2_val: float
     tail_bound: float
-    eps_argmax: float
     accepted: bool | None
     final_norm: float | None
 
@@ -794,10 +788,9 @@ def _absorb_report(rp: GridRoughPath, constants: BoundConstants, truncation_k: i
     consts = iter(consts)
     best_sum = -math.inf
     best_terms = None
-    best_eps = 0.0
     p1_val = 0.0
     p2_val = 0.0
-    for eps in _grid_eps_values(rp, eps_points):
+    for _ in _grid_eps_values(rp, eps_points):
         _, _, _, p1, p2 = next(consts)
         p1_val = max(p1_val, p1)
         p2_val = max(p2_val, p2)
@@ -812,7 +805,6 @@ def _absorb_report(rp: GridRoughPath, constants: BoundConstants, truncation_k: i
         if total > best_sum:
             best_sum = total
             best_terms = terms
-            best_eps = float(eps)
     half = truncation_k // 2
     logs = np.log(np.maximum(best_terms[half:], 1e-300))
     slope = float(np.polyfit(np.arange(half, truncation_k), logs, 1)[0])
@@ -833,10 +825,8 @@ def _absorb_report(rp: GridRoughPath, constants: BoundConstants, truncation_k: i
                              / (1.0 - math.exp(-rate)))
     tail = p1_val * tail_r  # propagated to the radius scale
     radius = 1.0 + p1_val * best_sum + p2_val + constants.delta_bar
-    return AbsorbReport(radius=radius, r_value=best_sum, series_terms=best_terms,
-                        truncation_k=truncation_k, p1_val=p1_val, p2_val=p2_val,
-                        tail_bound=tail, eps_argmax=best_eps,
-                        accepted=None, final_norm=None)
+    return AbsorbReport(radius=radius, r_value=best_sum, p1_val=p1_val, p2_val=p2_val,
+                        tail_bound=tail, accepted=None, final_norm=None)
 
 
 def absorbing_radii(model: SpectralModel, cases, constants: BoundConstants,
@@ -914,7 +904,6 @@ class PullbackRow:
 class PullbackReport:
     rows: tuple
     evolved: dict
-    converged: dict
 
 
 def pullback_estimate(model: SpectralModel, constants: BoundConstants,
@@ -946,13 +935,11 @@ def pullback_estimate(model: SpectralModel, constants: BoundConstants,
     n_points = cloud.shape[0]
     rows = []
     evolved_map = {}
-    converged = {}
     for seed, rp in ensemble:
         starts = [rp.index(-t) for t in t_list]
         final = _evolve_lockstep(model, rp, rp.index(0.0),
                                  [(start, point) for start in starts for point in cloud])
         prev = None
-        semis = []
         for k, t in enumerate(t_list):
             pts = [y for y in final[k * n_points:(k + 1) * n_points] if y is not None]
             blew = n_points - len(pts)
@@ -961,11 +948,7 @@ def pullback_estimate(model: SpectralModel, constants: BoundConstants,
             pts = np.asarray(pts)
             diam = cloud_diameter(model, pts)
             semi = math.nan if prev is None else hausdorff_semidistance(model, prev, pts)
-            if prev is not None:
-                semis.append(semi)
             rows.append(PullbackRow(seed, t, diam, semi, blew))
             evolved_map[(seed, t)] = pts
             prev = pts
-        decreasing = all(b < a for a, b in zip(semis, semis[1:])) if len(semis) > 1 else True
-        converged[seed] = decreasing and (not semis or semis[-1] < 1e-6 * (1 + semis[0]))
-    return PullbackReport(tuple(rows), evolved_map, converged)
+    return PullbackReport(tuple(rows), evolved_map)

@@ -71,11 +71,10 @@ class ExperimentConfig:
     cloud_points: int = 5
     cloud_radius: float = 1.0
     q_moment: float = 0.0    # 0 -> use the derived q
-    config_path: str = ""  # the file the settings came from; not itself a key
 
 
 # the config keys, in manifest order
-_SETTINGS = tuple(f for f in fields(ExperimentConfig) if f.name != "config_path")
+_SETTINGS = fields(ExperimentConfig)
 _KINDS = {"str": str, "int": int, "float": float, "bool": bool,
           "tuple[int, ...]": int, "tuple[float, ...]": float}
 # written into every manifest beside the settings (beta_shift by earlier
@@ -168,7 +167,6 @@ def load_experiment(path: str | None, overrides: dict) -> ExperimentConfig:
     for key, need, valid in _RANGES:
         if not valid(getattr(cfg, key)):
             raise ConfigError(f"config key {key} {need}, got {getattr(cfg, key)!r}")
-    cfg.config_path = path or ""
     return cfg
 
 
@@ -428,9 +426,12 @@ def _cmd_ergodic(cfg: ExperimentConfig) -> None:
     gap = att.check_gap_condition(cons, report)
     write_csv(os.path.join(out, "ergodic.csv"),
               ["q", "k_q", "kk_q", "k_bold", "std_err", "n_samples",
-               "gap_lhs", "gap_rhs", "gap_passed"],
+               "gap_lhs", "gap_rhs", "gap_passed", "k_q_time", "kk_q_time", "std_err_time",
+               "k_q_ens", "kk_q_ens", "std_err_ens"],
               [(report.q, report.k_q, report.kk_q, report.k_bold, report.std_err,
-                report.n_samples, gap.lhs, gap.rhs, int(gap.passed))])
+                report.n_samples, gap.lhs, gap.rhs, int(gap.passed), report.k_q_time,
+                report.kk_q_time, report.std_err_time, report.k_q_ens, report.kk_q_ens,
+                report.std_err_ens)])
     if len(samples) > 1 or samples[0].n_cells * samples[0].dt >= 2.0:
         integ = att.integrability_check(samples, cons)
         write_csv(os.path.join(out, "integrability.csv"),

@@ -57,18 +57,15 @@ _ABS_SLACK = 64 * np.finfo(float).eps
 
 
 class GreedyPartition:
-    """Greedy times on a grid interval together with threshold data."""
+    """Greedy times on a grid interval and their step count."""
 
-    __slots__ = ("taus", "count", "chi", "eta", "interval")
+    __slots__ = ("taus", "count")
 
-    def __init__(self, taus, chi: float, eta: float, interval):
+    def __init__(self, taus):
         self.taus = np.asarray(taus, dtype=float)
         if self.taus.size < 2 or np.any(np.diff(self.taus) <= 0):
             raise ValueError("greedy times must be strictly increasing with >= 2 entries")
         self.count = self.taus.size - 1
-        self.chi = float(chi)
-        self.eta = float(eta)
-        self.interval = (float(interval[0]), float(interval[1]))
 
 
 def _check_args(rp: GridRoughPath, eta: float, chi: float = 1.0) -> None:
@@ -260,9 +257,7 @@ def greedy_times(rp: GridRoughPath, eta: float, chi: float, interval=None) -> Gr
         raise ValueError("greedy interval must contain at least one cell")
     cuts = _greedy_scan(rp, eta, chi, i0, i1)
     taus = rp.t0 + rp.dt * np.asarray(cuts, dtype=float)
-    if interval is None:
-        interval = (rp.t0, rp.end_time)
-    return GreedyPartition(taus, chi, eta, interval)
+    return GreedyPartition(taus)
 
 
 @functools.lru_cache(maxsize=16)
@@ -388,10 +383,15 @@ def window_constants(rps, eta: float, chi: float, windows, cells: int):
     rows of the (path, grid point) pairs first reached in it, once however
     many windows step from them, as many rows per call as PAIR_BYTES allows.
     The first round builds the row from each window's start across the whole
-    window, and the same pairs fold the window's seminorms; a row first
-    reached in a later round stops in the first tile past chi or its path's
-    end. Each count equals greedy_times(...).count and each seminorm
-    holder_seminorm over the same window, bit for bit. A window whose scan
+    window, and the same pairs fold the window's seminorms. A row first
+    reached later reads only the window of latest start at or before its
+    point, which ends farthest (at E) of those that contain the point, run
+    backwards past E, and stops in the first tile past chi or E. A window
+    that steps from the point ends by E and caps its step there, so the dp up
+    to E decides the step, and past E need only stay nondecreasing (zero
+    increments there would send pow down its slow path on exact zeros). Each
+    count equals greedy_times(...).count and each seminorm holder_seminorm
+    over the same window, bit for bit. A window whose scan
     meets a cell above chi has, in place of its count, the NumericsError
     that greedy_times raises on it. Returns the counts as a list and the
     seminorms as two arrays, aligned with windows.
@@ -401,8 +401,10 @@ def window_constants(rps, eta: float, chi: float, windows, cells: int):
     g = rp.gamma - eta
     tables = [_lag_table(cells, rp.dt, p) for p in (rp.gamma, 2.0 * rp.gamma)]
     step = _rows_per_call(_dp_pairs(cells))
-    # a window caps its steps at its own end, so a row stops at its path's end
     span = rp.n_cells + cells + 1
+    # the windows' starts, sorted: all windows have the same length, so the
+    # latest start at or before a point is that of the farthest-ending window
+    latest = np.sort(starts)
     # end of the step from each joined point (-1: row not built), its dp[1],
     # and the seminorms of the window from it
     step_end = np.full(raw.shape[0], -1)
@@ -417,10 +419,16 @@ def window_constants(rps, eta: float, chi: float, windows, cells: int):
         # distinct rows to build, sorted (np.unique would import numpy.ma)
         new = np.sort(cur[walking & (step_end[cur] < 0)])
         new = new[np.diff(new, prepend=-1) != 0]
+        new_start = latest[np.searchsorted(latest, new, "right") - 1][:, None]
         for c in range(0, new.size, step):
-            rows = new[c:c + step]
-            lengths, dp, sups = _step_lengths(raw[rows], xx[rows], rp.dt, eta, g, chi,
-                                              (rp.n_cells - rows % span).tolist(), fold)
+            rows, start = new[c:c + step], new_start[c:c + step]
+            r, x = raw[rows], xx[rows]
+            if fold is None:  # past the window's end, run the window backwards
+                at = rows[:, None] - start + np.arange(cells + 1)
+                r = raw[start, np.minimum(at, 2 * cells - at)]
+                x = xx[start, np.minimum(at[:, :-1], 2 * cells - 1 - at[:, :-1])]
+            lengths, dp, sups = _step_lengths(r, x, rp.dt, eta, g, chi,
+                                              (start[:, 0] + cells - rows).tolist(), fold)
             step_end[rows] = rows + lengths
             first[rows] = dp[:, 1]
             if sups is not None:

@@ -129,15 +129,13 @@ class GridRoughPath:
 
 
 class HolderReport:
-    """Hoelder seminorms of both levels and their sum on one interval."""
+    """Hoelder seminorms of both levels on one interval."""
 
-    __slots__ = ("seminorm_x", "seminorm_xx", "rho", "interval")
+    __slots__ = ("seminorm_x", "seminorm_xx")
 
-    def __init__(self, seminorm_x: float, seminorm_xx: float, interval):
+    def __init__(self, seminorm_x: float, seminorm_xx: float):
         self.seminorm_x = float(seminorm_x)
         self.seminorm_xx = float(seminorm_xx)
-        self.rho = self.seminorm_x + self.seminorm_xx
-        self.interval = (float(interval[0]), float(interval[1]))
 
 
 def lift_piecewise_linear(samples, t0: float, dt: float, gamma: float = 0.5) -> GridRoughPath:
@@ -372,7 +370,7 @@ def holder_seminorm(rp: GridRoughPath, interval=None) -> HolderReport:
     raw, xx = _window_arrays(rp, interval)
     sx, sxx = _pair_sups(_seminorm_values(raw, *_prefix_sums(raw, xx)), raw.size - 1, rp.dt,
                          (rp.gamma, 2.0 * rp.gamma))
-    return HolderReport(sx, sxx, (rp.t0, rp.end_time) if interval is None else interval)
+    return HolderReport(sx, sxx)
 
 
 def _join_windows(rps, windows, cells: int):

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .roughpath import BLOCK, GridRoughPath, _pair_sups
-from .spectral import SpectralModel, SpectralState, aligned_empty
+from .spectral import SpectralModel, aligned_empty
 
 
 @dataclass(frozen=True)
@@ -106,12 +106,13 @@ class ControlledNorm:
 
 
 def rough_convolution(model: SpectralModel, z: ControlledPath, rp: GridRoughPath,
-                      s: float, t: float, beta_out: float = 0.0) -> SpectralState:
+                      s: float, t: float, beta_out: float = 0.0) -> np.ndarray:
     """Semigroup-weighted compensated Riemann sum of the integrand pair z.
 
-    Sums S_(t-u) (z_u X[u,v] + z'_u XX[u,v]) over the grid cells of [s, t].
-    beta_out only labels the output space E_(alpha - 2 gamma + beta_out) and
-    must stay below 3 gamma, mirroring the regularity window of the limit.
+    Sums S_(t-u) (z_u X[u,v] + z'_u XX[u,v]) over the grid cells of [s, t]
+    into a coefficient array, which lives in E_(alpha - 2 gamma + beta_out).
+    beta_out only names that output space and must stay below 3 gamma,
+    mirroring the regularity window of the limit.
     Kept for the sewing-germ defect of order 3 gamma - beta_out, which no
     acceptance criterion covers.
     """
@@ -136,7 +137,7 @@ def rough_convolution(model: SpectralModel, z: ControlledPath, rp: GridRoughPath
         xxc = rp.xx[c]
         kz = k0 + (c - i)
         acc = acc + weight * (z.y[kz] * xc + z.y_prime[kz] * xxc)
-    return SpectralState(acc, model.alpha - 2.0 * gamma + beta_out)
+    return acc
 
 
 _BLOW_CAP = 1e150  # declare divergence before overflow pollutes the maps
@@ -152,7 +153,11 @@ _FLUSH_REL = 2.0 ** -200
 
 
 def _initial_coeffs(model: SpectralModel, y0) -> np.ndarray:
-    coeffs = (y0 if isinstance(y0, SpectralState) else SpectralState(y0, model.alpha)).coeffs
+    coeffs = np.asarray(y0, dtype=float)
+    if coeffs.ndim != 1:
+        raise ValueError("coefficients must be a 1-d array")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("non-finite mode coefficients")
     if coeffs.shape != (model.n_modes,):
         raise ValueError("initial state must carry one coefficient per mode")
     return coeffs

@@ -37,10 +37,9 @@ class MlBoundCertificate:
     margin and is rounded up to the dyadic grid of resolution 2**-20.
     """
 
-    __slots__ = ("beta", "m_beta", "z_min", "z_max", "n_grid")
+    __slots__ = ("m_beta", "z_min", "z_max", "n_grid")
 
-    def __init__(self, beta: float, m_beta: float, z_min: float, z_max: float, n_grid: int):
-        self.beta = float(beta)
+    def __init__(self, m_beta: float, z_min: float, z_max: float, n_grid: int):
         self.m_beta = float(m_beta)
         self.z_min = float(z_min)
         self.z_max = float(z_max)
@@ -126,4 +125,4 @@ def certify_ml_bound(beta: float, z_min: float, z_max: float, n_grid: int = 1000
     sup_ratio = float(np.exp(np.max(log_ratio)))
     m_raw = 1.1 * sup_ratio
     m_beta = math.ceil(m_raw * 2.0 ** 20) / 2.0 ** 20
-    return MlBoundCertificate(beta, m_beta, z_min, z_max, n_grid)
+    return MlBoundCertificate(m_beta, z_min, z_max, n_grid)

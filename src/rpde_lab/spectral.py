@@ -22,7 +22,6 @@ c_f.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,22 +29,6 @@ from .configio import get_finite, get_typed, load_kv_file
 from .errors import ConfigError
 
 _G_KINDS = ("linear", "integral")
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """Mode coefficients together with the space index they live in."""
-
-    coeffs: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.ndim != 1:
-            raise ValueError("coefficients must be a 1-d array")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("non-finite mode coefficients")
 
 
 def aligned_empty(shape) -> np.ndarray:
@@ -146,9 +129,9 @@ class SpectralModel:
 
     # -- spaces ---------------------------------------------------------
 
-    def frac_norm(self, state, alpha: float) -> float:
-        """Norm of the state in the fractional space of index alpha."""
-        coeffs = state.coeffs if isinstance(state, SpectralState) else np.asarray(state, dtype=float)
+    def frac_norm(self, coeffs, alpha: float) -> float:
+        """Norm of a coefficient array in the fractional space of index alpha."""
+        coeffs = np.asarray(coeffs, dtype=float)
         w = self.mu ** (2.0 * alpha)
         return float(np.sqrt(np.sum(w * coeffs * coeffs)))
 
@@ -167,14 +150,9 @@ class SpectralModel:
     # -- drift ----------------------------------------------------------
 
     def f_values(self, y: np.ndarray) -> np.ndarray:
-        """The drift c_f mu^sigma_f tanh(y) of a coefficient array."""
+        """The drift c_f mu^sigma_f tanh(y) of a coefficient array: mode-wise
+        saturating, Lipschitz c_f from alpha to alpha - sigma_f."""
         return self._f_scale * np.tanh(y)
-
-    def apply_f(self, state: SpectralState) -> SpectralState:
-        """Mode-wise saturating drift, Lipschitz c_f from alpha to alpha - sigma_f.
-
-        The SpectralState form of f_values; perfbench traces it by this name."""
-        return SpectralState(self.f_values(state.coeffs), state.alpha - self.sigma_f)
 
     # -- diffusion ------------------------------------------------------
 
@@ -247,19 +225,6 @@ class SpectralModel:
         if self.g_kind == "linear":
             return y.tobytes()
         return self._point_values(y).tobytes()
-
-    def apply_g(self, state: SpectralState) -> SpectralState:
-        """Diffusion coefficient: diagonal fractional power or integral operator.
-
-        The SpectralState form of g_values; perfbench traces it by this name."""
-        return SpectralState(self.g_values(state.coeffs), state.alpha - self.sigma_g)
-
-    def apply_dg(self, state: SpectralState, h: SpectralState) -> SpectralState:
-        """Frechet derivative DG(state)[h]; perfbench traces it by this name."""
-        if self.g_kind == "linear":
-            return SpectralState(self._g_scale * h.coeffs, state.alpha - self.sigma_g)
-        work = self._kernel_grid(self._point_values(state.coeffs), self.kernel_work())
-        return SpectralState(self._dg_on_grid(work, h.coeffs), state.alpha - self.sigma_g)
 
     @property
     def c_g_bound(self) -> float:

@@ -221,6 +221,20 @@ class TestWindowConstants:
         assert np.array_equal(np.array(got), np.array(want))
         assert cells < 63 or len({n for n, _, _ in want}) > 2
 
+    @pytest.mark.parametrize("t_jump", [1.0 + 1.0 / 64, 1.5])
+    def test_rows_stop_at_the_windows_end(self, t_jump):
+        # a jump of 1e200 after the window [0, 1] leaves its constants as
+        # they are, bit for bit, and no DP row of its greedy walk reads the
+        # jump: the powers of its costs would overflow, a RuntimeWarning
+        cons = desk_constants(desk_model(c_g=5e-4, lambda_a=4.0, sigma_f=0.25, c_f=0.5))
+        for seed in (0, 28, 35):
+            rp = scaled_lift(seed, 4.0, 0.0, steps=64)
+            x = rp.x_raw.copy()
+            x[rp.index(t_jump):] += 1e200
+            jumped = rpm.GridRoughPath(rp.t0, rp.dt, x, rp.xx, rp.gamma)
+            assert window_constants(cons, [(jumped, (0.0, 1.0))]) == \
+                window_constants(cons, [(rp, (0.0, 1.0))])
+
     def test_mixed_grids_in_calibration(self):
         # trajectories on grids of 32 and 64 steps per unit, interleaved
         model = desk_model(c_g=5e-4)
@@ -359,7 +373,8 @@ class TestApriori:
         acc = 0.0
         for l in range(3):
             window = (float(l), float(l + 1))
-            p3 = rpm.holder_seminorm(rp, window).rho ** 2 \
+            hol = rpm.holder_seminorm(rp, window)
+            p3 = (hol.seminorm_x + hol.seminorm_xx) ** 2 \
                 * (1.0 + solver.controlled_norm(model, traj, rp, window).total)
             acc += math.exp(cons.lam * l) * p3
         y0 = model.frac_norm(traj.y[0], model.alpha)
@@ -519,7 +534,6 @@ class TestIntegrability:
         report = att.integrability_check(samples, cons)
         norms = (report.lp_core, report.lp_p1, report.lp_p2)
         assert all(math.isfinite(v) for lp in norms for v in lp.values())
-        assert report.n_windows == 120
         # L^p norms are nondecreasing in p, and halving the ensemble moves the
         # estimates by far less than a heavy tail would
         for series in (report.lp_core, report.lp_p1, report.lp_p2):
@@ -542,7 +556,6 @@ class TestIntegrability:
         def lp(vals, p):
             return float(np.mean(vals ** p) ** (1.0 / p))
 
-        assert report.n_windows == 9
         for p in report.orders:
             assert report.stability[p] == lp(total[0::2], p) / lp(total[1::2], p)
             assert (report.lp_p1[p], report.lp_p2[p]) == (lp(p1, p), lp(p2, p))
@@ -653,7 +666,7 @@ def ref_absorbing_radius(rp, constants, truncation_k, eps_points):
     """The per-window loop that the batched window kernels replaced: one greedy
     scan and one seminorm pass per (eps, k) window, in evaluation order."""
     lam = constants.lam
-    best_sum, best_terms, best_eps, p1_val, p2_val = -math.inf, None, 0.0, 0.0, 0.0
+    best_sum, best_terms, p1_val, p2_val = -math.inf, None, 0.0, 0.0
     for eps in att._grid_eps_values(rp, eps_points):
         _, _, _, _, p1, p2 = ref_window(rp, constants, (-eps, 1.0 - eps))
         p1_val = max(p1_val, p1)
@@ -670,14 +683,13 @@ def ref_absorbing_radius(rp, constants, truncation_k, eps_points):
             prod *= 1.0 + h1
         total = float(np.sum(terms))
         if total > best_sum:
-            best_sum, best_terms, best_eps = total, terms, float(eps)
+            best_sum, best_terms = total, terms
     half = truncation_k // 2
     ratios = best_terms[half + 1:] / np.maximum(best_terms[half:-1], 1e-300)
     decay = float(np.max(ratios))
     tail_bound = p1_val * (float(best_terms[-1]) * decay / (1.0 - decay))
     return dict(radius=1.0 + p1_val * best_sum + p2_val + constants.delta_bar,
-                r_value=best_sum, series_terms=best_terms, p1_val=p1_val, p2_val=p2_val,
-                tail_bound=tail_bound, eps_argmax=best_eps)
+                r_value=best_sum, p1_val=p1_val, p2_val=p2_val, tail_bound=tail_bound)
 
 
 class TestAbsorbingWindowKernels:
@@ -690,7 +702,6 @@ class TestAbsorbingWindowKernels:
             rp = scaled_lift(seed, trunc + 2.0, -(trunc + 1.0), steps=steps, scale=scale)
             rep = att.absorbing_radius(rp, cons, truncation_k=trunc, eps_points=eps_points)
             ref = ref_absorbing_radius(rp, cons, trunc, eps_points)
-            assert np.array_equal(rep.series_terms, ref.pop("series_terms"))
             for key, value in ref.items():
                 assert getattr(rep, key) == value, key
 
@@ -734,8 +745,8 @@ class TestAbsorbingRadii:
             final_norm = model.frac_norm(traj.y[-1], model.alpha)
             assert rep.final_norm == final_norm
             assert rep.accepted == (final_norm <= alone.radius)
-            assert np.array_equal(rep.series_terms, alone.series_terms)
-            assert rep.radius == alone.radius and rep.tail_bound == alone.tail_bound
+            assert (rep.radius, rep.r_value, rep.tail_bound) == \
+                (alone.radius, alone.r_value, alone.tail_bound)
             one = att.absorbing_radii(model, [(rp, y0)], cons, truncation_k=6, eps_points=5)[0]
             assert (one.final_norm, one.accepted) == (rep.final_norm, rep.accepted)
 
@@ -810,10 +821,8 @@ def ref_pullback_estimate(model, ensemble, t_list, cloud):
     cloud = np.asarray(cloud, dtype=float)
     rows = []
     evolved_map = {}
-    converged = {}
     for seed, rp in ensemble:
         prev = None
-        semis = []
         for t in t_list:
             window = rp.window(-t, 0.0)
             pts = []
@@ -829,14 +838,10 @@ def ref_pullback_estimate(model, ensemble, t_list, cloud):
             pts = np.asarray(pts)
             diam = att.cloud_diameter(model, pts)
             semi = math.nan if prev is None else att.hausdorff_semidistance(model, prev, pts)
-            if prev is not None:
-                semis.append(semi)
             rows.append(att.PullbackRow(seed, t, diam, semi, blew))
             evolved_map[(seed, t)] = pts
             prev = pts
-        decreasing = all(b < a for a, b in zip(semis, semis[1:])) if len(semis) > 1 else True
-        converged[seed] = decreasing and (not semis or semis[-1] < 1e-6 * (1 + semis[0]))
-    return att.PullbackReport(tuple(rows), evolved_map, converged)
+    return att.PullbackReport(tuple(rows), evolved_map)
 
 
 def assert_same_report(got, want):
@@ -847,7 +852,6 @@ def assert_same_report(got, want):
                                                     and math.isnan(b.semidistance))
     assert got.evolved.keys() == want.evolved.keys()
     assert all(np.array_equal(got.evolved[k], want.evolved[k]) for k in want.evolved)
-    assert got.converged == want.converged
 
 
 class TestPullback:
@@ -902,7 +906,10 @@ class TestPullback:
         rep = att.pullback_estimate(model, cons, ens, (1.0, 2.0, 4.0), cloud)
         rows = [r for r in rep.rows if r.seed == 0]
         assert rows[-1].diameter <= math.exp(-model.mu[0] * 4.0) * 2.0
-        assert rep.converged[0]
+        # the semidistances between consecutive clouds fall, to below 1e-6 of the first
+        semis = [r.semidistance for r in rows[1:]]
+        assert all(b < a for a, b in zip(semis, semis[1:]))
+        assert semis[-1] < 1e-6 * (1 + semis[0])
 
     def test_diameter_rate_exceeds_gap_rate(self):
         model = desk_model(c_g=5e-4)

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from rpde_lab import attractor as att
 from rpde_lab import cli
 from rpde_lab.configio import load_kv_file, write_kv_file
 from rpde_lab.errors import NumericsError
@@ -103,7 +104,24 @@ class TestBasics:
                     "--out", str(out)]) == 0
         lines = (out / "ergodic.csv").read_text().splitlines()
         assert lines[0].startswith("q,k_q,kk_q,k_bold")
-        assert lines[1].split(",")[-1] == "1"  # desk defaults pass the gap
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert row["gap_passed"] == "1"  # desk defaults pass the gap
+
+    def test_ergodic_birkhoff_columns(self, tmp_path):
+        # the time and ensemble averages of ergodic_moments follow gap_passed
+        seeds = tuple(range(6))
+        out = tmp_path / "erg"
+        assert run(["ergodic", "--seeds", ",".join(map(str, seeds)), "--out", str(out)]) == 0
+        header, row = (line.split(",") for line in
+                       (out / "ergodic.csv").read_text().splitlines())
+        names = ["k_q_time", "kk_q_time", "std_err_time", "k_q_ens", "kk_q_ens", "std_err_ens"]
+        assert header[header.index("gap_passed") + 1:] == names
+        cfg = cli.load_experiment(None, {"command": "ergodic", "seeds": seeds})
+        model = cli._build_model(cfg)
+        cons = cli._build_constants(cfg, model)
+        report = att.ergodic_moments(
+            [cli.sample_lift(cfg, s, cfg.horizon, 0.0, cons.gamma) for s in seeds], cons.q_moment)
+        assert row[len(header) - len(names):] == [repr(getattr(report, n)) for n in names]
 
 
 class TestExitCodes:
@@ -316,8 +334,7 @@ class TestDeterminism:
         assert run(["lift", "--seeds", "1,2", "--out", str(out)]) == 0
         lines = (out / "manifest.txt").read_text().splitlines(keepends=True)
         keys = [line.split(" = ", 1)[0] for line in lines]
-        names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)
-                 if f.name != "config_path"]
+        names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
         assert keys[:len(names)] == names
         assert keys[len(names)] == "config_hash"
         digest = hashlib.sha256("".join(lines[:len(names)]).encode()).hexdigest()

@@ -149,8 +149,7 @@ class TestGreedyTimes:
         rp = fbm_lift(2)
         gp = greedy.greedy_times(rp, ETA, 0.5, (0.0, 1.0))
         assert gp.count == gp.taus.size - 1
-        assert gp.chi == 0.5 and gp.eta == ETA
-        assert gp.interval == (0.0, 1.0)
+        assert (gp.taus[0], gp.taus[-1]) == (0.0, 1.0)  # the interval's ends
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +368,19 @@ class TestWindowCounts:
             for eta, chi in ((ETA, 0.3), (ETA, 0.6), (0.0, 0.3)):
                 counts = batched_counts(rp, eta, chi, starts, cells)
                 assert counts == per_window_counts(rp, eta, chi, starts, cells)
+
+    def test_rows_in_an_overlap_read_to_the_farthest_end(self):
+        # windows [0, 32] and [10, 42] with a jump just past the first one's
+        # end: the second window's steps meet the jump, so a row from a point
+        # of both windows reads up to 42, and the first caps its steps at 32
+        rp = noisy_path(32)
+        x = rp.x_raw.copy()
+        x[33:] += 0.15
+        rp = rpm.GridRoughPath(rp.t0, rp.dt, x, rp.xx, GAMMA)
+        for chi in (0.3, 0.6):
+            counts = batched_counts(rp, ETA, chi, [0, 10], 32)
+            assert counts == per_window_counts(rp, ETA, chi, [0, 10], 32)
+            assert counts[1] > counts[0]
 
     def test_threshold_between_array_and_scalar_pow(self):
         # each chi is the lower of numpy's array pow and the scalar pow of a

@@ -69,7 +69,7 @@ def square_holder_seminorm(rp, interval=None):
                 np.abs(square_second_level_block(raw[:c1], xx[:c1 - 1], c0)))
 
     sx, sxx = square_pair_sups(values, raw.size - 1, rp.dt, (rp.gamma, 2.0 * rp.gamma))
-    return HolderReport(sx, sxx, (rp.t0, rp.end_time) if interval is None else interval)
+    return HolderReport(sx, sxx)
 
 
 def square_rough_metric(a, b, interval=None):

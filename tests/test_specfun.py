@@ -95,8 +95,8 @@ class TestCertificate:
         assert specfun.certify_ml_bound(0.6, 2.0, 50.0) is cert
         fresh = specfun.certify_ml_bound.__wrapped__(0.6, 2.0, 50.0)
         assert fresh is not cert
-        assert (cert.beta, cert.m_beta, cert.z_min, cert.z_max, cert.n_grid) == \
-            (fresh.beta, fresh.m_beta, fresh.z_min, fresh.z_max, fresh.n_grid)
+        assert (cert.m_beta, cert.z_min, cert.z_max, cert.n_grid) == \
+            (fresh.m_beta, fresh.z_min, fresh.z_max, fresh.n_grid)
 
     def test_certificate_reverifies_on_fresh_grid(self):
         for beta in (0.4, 0.75):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rpde_lab.errors import ConfigError
-from rpde_lab.spectral import SpectralModel, SpectralState, model_from_config, smoothing_constant
+from rpde_lab.spectral import SpectralModel, model_from_config, smoothing_constant
 
 
 @pytest.fixture
@@ -15,12 +15,16 @@ def model():
                          c_f=0.5, c_g=0.4)
 
 
-def state(model, coeffs):
-    return SpectralState(coeffs, model.alpha)
+def semigroup_apply(model, t, y):
+    return model.semigroup_factors(t) * y
 
 
-def semigroup_apply(model, t, st):
-    return SpectralState(model.semigroup_factors(t) * st.coeffs, st.alpha)
+def dg(model, y, h):
+    """DG(y)[h] along a general direction h: the kernel grid of y, then its
+    derivative along h (g_and_dg takes only h = G(y))."""
+    if model.g_kind == "linear":
+        return model._g_scale * h
+    return model._dg_on_grid(model._kernel_grid(model._point_values(y), model.kernel_work()), h)
 
 
 def random_states(model, n, seed=0, scale=1.0):
@@ -30,13 +34,12 @@ def random_states(model, n, seed=0, scale=1.0):
 
 class TestSpaces:
     def test_base_norm_is_euclidean(self, model):
-        st = state(model, np.ones(12))
-        assert model.frac_norm(st, 0.0) == pytest.approx(np.sqrt(12.0), rel=1e-14)
+        assert model.frac_norm(np.ones(12), 0.0) == pytest.approx(np.sqrt(12.0), rel=1e-14)
 
     def test_single_mode_norm(self, model):
         e3 = np.zeros(12)
         e3[2] = 1.0
-        assert model.frac_norm(state(model, e3), 0.7) == pytest.approx(model.mu[2] ** 0.7)
+        assert model.frac_norm(e3, 0.7) == pytest.approx(model.mu[2] ** 0.7)
 
     def test_interpolation_inequality_unit_constant(self, model):
         a1, a2, a3 = 0.0, 0.3, 0.7
@@ -66,26 +69,25 @@ class TestSpaces:
 
 class TestSemigroup:
     def test_identity_at_zero(self, model):
-        st = state(model, random_states(model, 1)[0])
-        assert np.array_equal(semigroup_apply(model, 0.0, st).coeffs, st.coeffs)
+        y = random_states(model, 1)[0]
+        assert np.array_equal(semigroup_apply(model, 0.0, y), y)
 
     def test_exponential_stability(self, model):
         for x in random_states(model, 20, seed=2):
-            st = state(model, x)
             for t in (0.1, 0.5, 2.0):
-                decayed = semigroup_apply(model, t, st)
+                decayed = semigroup_apply(model, t, x)
                 assert model.frac_norm(decayed, 0.0) <= \
-                    np.exp(-model.lambda_a * t) * model.frac_norm(st, 0.0) * (1 + 1e-12)
+                    np.exp(-model.lambda_a * t) * model.frac_norm(x, 0.0) * (1 + 1e-12)
 
     def test_semigroup_property(self, model):
-        st = state(model, random_states(model, 1, seed=3)[0])
-        both = semigroup_apply(model, 0.7, semigroup_apply(model, 0.3, st))
-        direct = semigroup_apply(model, 1.0, st)
-        assert both.coeffs == pytest.approx(direct.coeffs, rel=1e-12)
+        y = random_states(model, 1, seed=3)[0]
+        both = semigroup_apply(model, 0.7, semigroup_apply(model, 0.3, y))
+        direct = semigroup_apply(model, 1.0, y)
+        assert both == pytest.approx(direct, rel=1e-12)
 
     def test_negative_time_rejected(self, model):
         with pytest.raises(ValueError):
-            semigroup_apply(model, -0.1, state(model, np.zeros(12)))
+            semigroup_apply(model, -0.1, np.zeros(12))
 
     def test_smoothing_constant_against_per_mode_oracle(self, model):
         # brute-force maximization of t^sigma mu^sigma exp(-(mu - lam) t)
@@ -114,31 +116,28 @@ class TestSemigroup:
         sigma, lam = 0.5, 1.0
         cons = smoothing_constant(sigma, lam, float(model.mu[0]))
         for x in random_states(model, 10, seed=4):
-            st = state(model, x)
-            base = model.frac_norm(st, 0.0)
+            base = model.frac_norm(x, 0.0)
             for t in np.linspace(0.01, 1.0, 25):
-                lifted = model.frac_norm(semigroup_apply(model, t, st), sigma)
+                lifted = model.frac_norm(semigroup_apply(model, t, x), sigma)
                 assert t ** sigma * np.exp(lam * t) * lifted <= cons * base * (1 + 1e-12)
 
 
 class TestDrift:
     def test_zero_fixed_point(self, model):
-        out = model.apply_f(state(model, np.zeros(12)))
+        out = model.f_values(np.zeros(12))
         assert model.frac_norm(out, model.alpha - model.sigma_f) == 0.0
 
     def test_lipschitz_ratio(self, model):
         pairs = random_states(model, 2000, seed=6).reshape(1000, 2, 12)
         for x, z in pairs:
-            num = model.frac_norm(model.apply_f(state(model, x)).coeffs
-                                  - model.apply_f(state(model, z)).coeffs,
+            num = model.frac_norm(model.f_values(x) - model.f_values(z),
                                   model.alpha - model.sigma_f)
             den = model.frac_norm(x - z, model.alpha)
             assert num <= model.c_f * den * (1.0 + 1e-12)
 
     def test_zero_map_config(self):
         m = SpectralModel(6, lambda_a=1.0, c_f=0.0)
-        out = m.apply_f(state(m, np.ones(6)))
-        assert np.all(out.coeffs == 0.0)
+        assert np.all(m.f_values(np.ones(6)) == 0.0)
 
 
 class TestDiffusionLinear:
@@ -146,16 +145,15 @@ class TestDiffusionLinear:
         m = SpectralModel(8, lambda_a=2.0, sigma_g=0.3, c_g=1.0)
         e5 = np.zeros(8)
         e5[4] = 1.0
-        out = m.apply_g(state(m, e5))
-        assert out.coeffs[4] == pytest.approx((25 * np.pi ** 2) ** 0.3, rel=1e-13)
+        assert m.g_values(e5)[4] == pytest.approx((25 * np.pi ** 2) ** 0.3, rel=1e-13)
 
     def test_gubinelli_is_g_squared(self):
         m = SpectralModel(8, lambda_a=2.0, sigma_g=0.3, c_g=0.7)
         rng = np.random.default_rng(8)
-        st = state(m, rng.standard_normal(8))
-        g, dg_g = m.g_and_dg(st.coeffs)
-        assert np.array_equal(g, m.apply_g(st).coeffs)
-        assert dg_g == pytest.approx(m.apply_g(m.apply_g(st)).coeffs, rel=1e-14)
+        y = rng.standard_normal(8)
+        g, dg_g = m.g_and_dg(y)
+        assert np.array_equal(g, m.g_values(y))
+        assert dg_g == pytest.approx(m.g_values(m.g_values(y)), rel=1e-14)
 
     def test_bound_property(self):
         m = SpectralModel(8, lambda_a=2.0, sigma_g=0.3, c_g=0.7)
@@ -170,20 +168,19 @@ class TestDiffusionIntegral:
     def test_derivative_chain_by_finite_differences(self, imodel):
         # DG(u)[h] against the central difference of G along h
         rng = np.random.default_rng(9)
-        u = state(imodel, rng.standard_normal(10) * 0.4)
-        h = state(imodel, rng.standard_normal(10) * 0.7)
+        u = rng.standard_normal(10) * 0.4
+        h = rng.standard_normal(10) * 0.7
         eps = 1e-5
-        plus = imodel.apply_g(state(imodel, u.coeffs + eps * h.coeffs)).coeffs
-        minus = imodel.apply_g(state(imodel, u.coeffs - eps * h.coeffs)).coeffs
-        assert imodel.apply_dg(u, h).coeffs == pytest.approx((plus - minus) / (2 * eps), rel=1e-5)
+        plus = imodel.g_values(u + eps * h)
+        minus = imodel.g_values(u - eps * h)
+        assert dg(imodel, u, h) == pytest.approx((plus - minus) / (2 * eps), rel=1e-5)
 
     def test_value_at_zero_nonzero(self, imodel):
-        out = imodel.apply_g(state(imodel, np.zeros(10)))
-        assert imodel.frac_norm(out, 0.0) > 0
+        assert imodel.frac_norm(imodel.g_values(np.zeros(10)), 0.0) > 0
 
 
 class TestFusedDiffusion:
-    """g_and_dg against apply_g then apply_dg, and the kernel grid against the kernel formula."""
+    """g_and_dg against g_values then DG along G, and the kernel grid against the kernel formula."""
 
     MODELS = {
         "integral": dict(n_modes=10, lambda_a=2.0, c_g=0.5, g_kind="integral"),
@@ -199,17 +196,16 @@ class TestFusedDiffusion:
                 1e6 * rng.standard_normal(n_modes)]
 
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_matches_apply_g_then_apply_dg(self, name):
+    def test_matches_g_values_then_dg(self, name):
         m = SpectralModel(**self.MODELS[name])
         work = m.kernel_work()
         for y in self.states(m.n_modes):
-            st = state(m, y)
-            g = m.apply_g(st)
-            dg_g = m.apply_dg(st, g)
+            g = m.g_values(y)
+            dg_g = dg(m, y, g)
             for got in (m.g_and_dg(y), m.g_and_dg(y, work)):
-                assert np.array_equal(got[0], g.coeffs)
-                assert np.array_equal(got[1], dg_g.coeffs)
-            assert np.array_equal(m.g_values(y, work), g.coeffs)
+                assert np.array_equal(got[0], g)
+                assert np.array_equal(got[1], dg_g)
+            assert np.array_equal(m.g_values(y, work), g)
 
     @pytest.mark.parametrize("name", ["integral", "integral_shifted"])
     def test_grid_matches_kernel_formula(self, name):
@@ -230,7 +226,7 @@ class TestFusedDiffusion:
             dg_g = (scale * (1.0 - t * t)) * (g @ m._basis)[None, :]
             assert np.array_equal(m.g_values(y), g)
             assert np.array_equal(m.g_and_dg(y)[1], m._basis @ (m._weights * (dg_g @ m._weights)))
-            assert np.array_equal(m.apply_dg(state(m, y), state(m, h)).coeffs,
+            assert np.array_equal(dg(m, y, h),
                                   m._basis @ (m._weights * (dg_h @ m._weights)))
 
     @pytest.mark.parametrize("name", sorted(MODELS))
